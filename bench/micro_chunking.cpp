@@ -9,7 +9,8 @@
 //   bench.simd.check.*     boolean gates (1 = pass) compared by ctest's
 //                          bench_simd_gate against the committed
 //                          BENCH_simd_hotloop.json via tools/metrics_diff.py
-//   bench.simd.*           informational speedup ratios
+//   bench.simd.*           informational speedup ratios (median of
+//                          interleaved scalar/SIMD timing pairs)
 //   system.bench.simd.*    raw MB/s (machine-dependent, never gated)
 //
 // Regenerate the committed snapshot after an intentional change:
@@ -20,6 +21,7 @@
 // (both on one shell line).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -270,18 +272,52 @@ BENCHMARK(BM_PipelinePrepare)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisec
 
 using BenchClock = std::chrono::steady_clock;
 
-/// Best-of-3 wall time of `fn`, in seconds.
+/// Wall time of one call of `fn`, in seconds.
 template <typename Fn>
-double best_seconds(Fn&& fn) {
-  double best = 1e100;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = BenchClock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(BenchClock::now() - t0).count();
-    if (s < best) best = s;
+double seconds_of(Fn&& fn) {
+  const auto t0 = BenchClock::now();
+  fn();
+  return std::chrono::duration<double>(BenchClock::now() - t0).count();
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// A baseline and a candidate kernel timed in interleaved A/B pairs.
+struct PairedTiming {
+  double baseline_s = 0.0;  // median single-run time
+  double candidate_s = 0.0;
+  double speedup = 0.0;  // median over pairs of baseline/candidate
+};
+
+/// Times `baseline` and `candidate` back to back in kPairs pairs
+/// (alternating which runs first) and takes the median per-pair ratio. A
+/// host slowdown — another process, a frequency change — lands on both
+/// halves of the pairs it overlaps, instead of on one kernel's best-of-N,
+/// so the ratio gates stay steady under a loaded `ctest -j`.
+template <typename Baseline, typename Candidate>
+PairedTiming paired_timing(Baseline&& baseline, Candidate&& candidate) {
+  constexpr int kPairs = 9;
+  baseline();  // warm caches and page tables, untimed
+  candidate();
+  std::vector<double> tb, tc, ratios;
+  for (int i = 0; i < kPairs; ++i) {
+    double b = 0.0, c = 0.0;
+    if (i % 2 == 0) {
+      b = seconds_of(baseline);
+      c = seconds_of(candidate);
+    } else {
+      c = seconds_of(candidate);
+      b = seconds_of(baseline);
+    }
+    tb.push_back(b);
+    tc.push_back(c);
+    ratios.push_back(c > 0 ? b / c : 0.0);
   }
-  return best;
+  return PairedTiming{median_of(tb), median_of(tc), median_of(ratios)};
 }
 
 double mb_per_s(std::size_t bytes, double seconds) {
@@ -302,18 +338,21 @@ void run_simd_checks() {
 
   std::uint64_t h_scalar = 0;
   std::size_t b_scalar = 0;
-  const double t_gear_scalar = best_seconds([&] {
-    h_scalar = 0;
-    b_scalar = simd::gear_scan_scalar(data.data(), 0, data.size(), mask,
-                                      h_scalar, table);
-  });
   const simd::GearScanFn active = simd::active_gear_scan();
   std::uint64_t h_active = 0;
   std::size_t b_active = 0;
-  const double t_gear_active = best_seconds([&] {
-    h_active = 0;
-    b_active = active(data.data(), 0, data.size(), mask, h_active, table);
-  });
+  const PairedTiming gear = paired_timing(
+      [&] {
+        h_scalar = 0;
+        b_scalar = simd::gear_scan_scalar(data.data(), 0, data.size(), mask,
+                                          h_scalar, table);
+      },
+      [&] {
+        h_active = 0;
+        b_active = active(data.data(), 0, data.size(), mask, h_active, table);
+      });
+  const double t_gear_scalar = gear.baseline_s;
+  const double t_gear_active = gear.candidate_s;
   boundaries_identical = b_active == b_scalar && h_active == h_scalar;
   // A boundary-rich mask as well (realistic ~2 KiB spacing), where the
   // kernels restart per boundary.
@@ -331,8 +370,7 @@ void run_simd_checks() {
       if (p1 == simd::kNoBoundary) break;
     }
   }
-  const double gear_speedup =
-      t_gear_active > 0 ? t_gear_scalar / t_gear_active : 0.0;
+  const double gear_speedup = gear.speedup;
   reg.gauge("system.bench.simd.gear_scalar_mb_s")
       .set(mb_per_s(data.size(), t_gear_scalar));
   reg.gauge("system.bench.simd.gear_active_mb_s")
@@ -352,34 +390,35 @@ void run_simd_checks() {
   bool digests_identical = true;
 
   std::vector<Sha1::Digest> ref1(views.size()), out1(views.size());
-  const double t_sha1_scalar = best_seconds([&] {
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      ref1[i] = Sha1::hash(views[i]);
-    }
-  });
-  const double t_sha1_mb = best_seconds([&] {
-    simd::sha1_many(views.data(), views.size(), out1.data());
-  });
+  const PairedTiming sha1 = paired_timing(
+      [&] {
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          ref1[i] = Sha1::hash(views[i]);
+        }
+      },
+      [&] { simd::sha1_many(views.data(), views.size(), out1.data()); });
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (out1[i] != ref1[i]) digests_identical = false;
   }
 
   std::vector<Sha256::Digest> ref256(views.size()), out256(views.size());
-  const double t_sha256_scalar = best_seconds([&] {
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      ref256[i] = Sha256::hash(views[i]);
-    }
-  });
-  const double t_sha256_mb = best_seconds([&] {
-    simd::sha256_many(views.data(), views.size(), out256.data());
-  });
+  const PairedTiming sha256 = paired_timing(
+      [&] {
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          ref256[i] = Sha256::hash(views[i]);
+        }
+      },
+      [&] { simd::sha256_many(views.data(), views.size(), out256.data()); });
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (out256[i] != ref256[i]) digests_identical = false;
   }
 
-  const double sha1_speedup = t_sha1_mb > 0 ? t_sha1_scalar / t_sha1_mb : 0.0;
-  const double sha256_speedup =
-      t_sha256_mb > 0 ? t_sha256_scalar / t_sha256_mb : 0.0;
+  const double t_sha1_scalar = sha1.baseline_s;
+  const double t_sha1_mb = sha1.candidate_s;
+  const double t_sha256_scalar = sha256.baseline_s;
+  const double t_sha256_mb = sha256.candidate_s;
+  const double sha1_speedup = sha1.speedup;
+  const double sha256_speedup = sha256.speedup;
   reg.gauge("system.bench.simd.sha1_scalar_mb_s")
       .set(mb_per_s(batch_bytes, t_sha1_scalar));
   reg.gauge("system.bench.simd.sha1_mb_mb_s")

@@ -8,7 +8,8 @@
 //      (lock-striped index + per-stream container appenders), W in
 //      {1, 2, 4, 8};
 //   2. SPSC pipeline sweep — one stream through StreamPipeline with
-//      {1, 2, 4} fingerprint workers against the synchronous baseline,
+//      {1, 2, 4} fingerprint workers against the synchronous baseline
+//      (same chunker, same FingerprintBatch hashing, one thread),
 //      reporting the per-stage busy times and achieved overlap.
 //
 // Speedups here are *wall-clock* and bounded by the host's core count —
@@ -28,7 +29,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "common/rng.h"
+#include "common/sha_mb.h"
 #include "core/parallel_ingest.h"
 #include "dedup/pipeline.h"
 #include "harness.h"
@@ -91,14 +94,20 @@ int run() {
               "chunk_s", "fp_s", "stall_s", "overlap_s");
   const auto chunker = make_chunker(ChunkerKind::kGear, {});
   {
-    // Synchronous baseline: chunk + fingerprint inline, like the engines
-    // with fingerprint_threads == 0.
+    // Synchronous baseline: chunk, then fingerprint in multi-buffer
+    // batches on the same thread — what ParallelIngestor does with
+    // pipeline_workers == 0, and what each pipeline worker runs per batch,
+    // so the rows below differ only in the threading.
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<StreamChunk> chunks;
     chunker->split_to(view, [&](const ChunkRef& r) {
-      chunks.push_back(StreamChunk{
-          Fingerprint::of(view.subspan(r.offset, r.size)), r.offset, r.size});
+      chunks.push_back(StreamChunk{Fingerprint{}, r.offset, r.size});
     });
+    simd::FingerprintBatch batch;
+    for (StreamChunk& c : chunks) {
+      batch.add(view.subspan(c.stream_offset, c.size), &c.fp);
+    }
+    batch.flush();
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -58,7 +58,12 @@
 //                             thread; peer errors answered/closed, internal
 //                             errors (CheckFailure, std::exception) logged
 //                             with rid + counted, session dies, daemon
-//                             lives.
+//                             lives. A failure inside a BACKUP_DATA
+//                             frame's ingest is caught as the same two
+//                             types, held in a std::exception_ptr while
+//                             the rest of the upload drains, and rethrown
+//                             unchanged at BACKUP_END, so it still reaches
+//                             this boundary as its own type.
 //   ThreadPool::worker_loop   thread_pool.cpp  kind=future  tasks run as
 //                             std::packaged_task, so any exception is
 //                             captured into the task's future and re-raised

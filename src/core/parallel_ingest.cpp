@@ -1,6 +1,8 @@
 #include "core/parallel_ingest.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <optional>
@@ -53,13 +55,12 @@ class ClaimGuard {
 };
 
 /// A duplicate whose location was unknown when its chunk was processed
-/// (the claimant had not published yet). `entry` is its slot in the
-/// stream-ordered recipe entry list (SIZE_MAX when no recipe is built).
+/// (the claimant had not published yet): its fingerprint, size and index
+/// in the step's piece list (also its slot in the step's recipe entries).
 struct PendingDup {
   Fingerprint fp;
-  std::uint64_t offset = 0;
   std::uint32_t size = 0;
-  std::size_t entry = SIZE_MAX;
+  std::size_t piece = 0;
 };
 
 /// How long a stream end waits for another stream's in-flight claim before
@@ -77,163 +78,237 @@ ParallelIngestor::ParallelIngestor(const ParallelIngestParams& params)
     : params_(params),
       chunker_(make_chunker(params.chunker_kind, params.chunker)),
       index_(params.index_shards, params.index),
-      store_(params.container_bytes, params.compress_containers) {}
+      store_(params.container_bytes, params.compress_containers) {
+  // IngestStream's carry window is max_size: every chunk must fit it.
+  params_.chunker.validate();
+}
+
+IngestStream ParallelIngestor::open_stream(Recipe* recipe) {
+  return IngestStream(*this, recipe);
+}
 
 StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,
                                                   Recipe* recipe) {
   const obs::TraceSpan span("parallel_ingest.stream", "ingest");
-  const auto wall_start = std::chrono::steady_clock::now();
-  DiskSim sim(params_.disk);
+  IngestStream s = open_stream(recipe);
+  s.feed(stream);
+  return s.finish();
+}
 
-  StreamIngestStats st;
-  st.stream = next_stream_id_.fetch_add(1, std::memory_order_relaxed);
-  st.logical_bytes = stream.size();
-
-  // Chunk + fingerprint. With pipeline workers the stream gets its own SPSC
-  // pipeline (run() is single-caller, so pipelines cannot be shared across
-  // streams); otherwise it runs synchronously on this stream's thread.
-  std::vector<StreamChunk> chunks;
-  if (params_.pipeline_workers >= 1) {
-    StreamPipeline pipeline(*chunker_, params_.pipeline_workers,
-                            params_.batch_chunks);
-    chunks = pipeline.run(stream);
-  } else {
-    // Batched multi-buffer fingerprinting; boundaries first so the chunk
-    // vector is stable while the batch holds output pointers into it.
-    std::vector<ChunkRef> refs;
-    refs.reserve(stream.size() / params_.chunker.avg_size + 1);
-    chunker_->split_to(stream, [&](const ChunkRef& r) { refs.push_back(r); });
-    chunks.resize(refs.size());
-    simd::FingerprintBatch batch;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      chunks[i] = StreamChunk{Fingerprint{}, refs[i].offset, refs[i].size};
-      batch.add(stream.subspan(refs[i].offset, refs[i].size), &chunks[i].fp);
-    }
-    batch.flush();
-    // Ingest threads run concurrently: shard + merge, same as the pipeline.
-    obs::MetricsRegistry shard;
-    auto& hist = shard.histogram("fingerprint.batch_size");
-    for (const std::uint32_t s : batch.flush_sizes()) hist.observe(s);
-    obs::MetricsRegistry::global().merge_from(shard);
+IngestStream::IngestStream(ParallelIngestor& owner, Recipe* recipe)
+    : owner_(&owner),
+      recipe_(recipe),
+      appender_(owner.store_.open_stream()),
+      sim_(owner.params_.disk) {
+  // With pipeline workers the stream gets its own SPSC pipeline (run() is
+  // single-caller, so pipelines cannot be shared across streams);
+  // otherwise it chunks and fingerprints synchronously on its own thread.
+  if (owner.params_.pipeline_workers >= 1) {
+    pipeline_ = std::make_unique<StreamPipeline>(
+        *owner.chunker_, owner.params_.pipeline_workers,
+        owner.params_.batch_chunks);
   }
-  st.chunk_count = chunks.size();
-  // Chunking + fingerprinting CPU, charged like the serial engines.
-  sim.compute(static_cast<double>(stream.size()) / 1e6 / params_.cpu_mb_per_s);
+  st_.stream = owner.next_stream_id_.fetch_add(1, std::memory_order_relaxed);
+  carry_.reserve(owner.params_.chunker.max_size);
+}
 
+void IngestStream::feed(ByteView piece) {
+  DEFRAG_CHECK_MSG(!finished_, "feed() after finish()");
+  if (piece.empty()) return;
+  const obs::TraceSpan span("parallel_ingest.feed", "ingest");
+  const auto start = std::chrono::steady_clock::now();
+  st_.logical_bytes += piece.size();
+  step(piece, false);
+  busy_seconds_ += seconds_since(start);
+}
+
+StreamIngestStats IngestStream::finish() {
+  DEFRAG_CHECK_MSG(!finished_, "finish() called twice");
+  const auto start = std::chrono::steady_clock::now();
+  step(ByteView(), true);
+  appender_.close();
+  finished_ = true;
+  DEFRAG_CHECK_MSG(charged_ == st_.pending_dup_chunks,
+                   "charged published-location lookups != resolved "
+                   "pending duplicates");
+  // Chunking + fingerprinting CPU, charged like the serial engines: once,
+  // from the total, so the clock does not depend on how the stream was cut.
+  sim_.compute(static_cast<double>(st_.logical_bytes) / 1e6 /
+               owner_->params_.cpu_mb_per_s);
+  st_.io = sim_.stats();
+  st_.sim_seconds = sim_.elapsed_seconds();
+  busy_seconds_ += seconds_since(start);
+  st_.wall_seconds = busy_seconds_;
+  return st_;
+}
+
+void IngestStream::step(ByteView data, bool last) {
+  const std::size_t max_size = owner_->params_.chunker.max_size;
+  std::vector<Piece> pieces;  // terminated chunks, in stream order
+  if (!carry_.empty()) {
+    // The carry's chunk ends at most max_size bytes past its start, so the
+    // carry plus enough new bytes to reach that point decides it.
+    const std::size_t carried = carry_.size();
+    const std::size_t take = std::min(data.size(), max_size - carried);
+    carry_.insert(carry_.end(), data.begin(),
+                  data.begin() + static_cast<std::ptrdiff_t>(take));
+    std::vector<ChunkRef> refs;
+    owner_->chunker_->split_to(ByteView(carry_),
+                               [&](const ChunkRef& r) { refs.push_back(r); });
+    if (!last && refs.size() == 1 && carry_.size() < max_size) {
+      return;  // still unterminated; all of `data` joined the carry
+    }
+    if (!last) {
+      DEFRAG_CHECK_MSG(refs.front().size >= carried,
+                       "chunker placed a boundary inside the carry");
+      refs.resize(1);  // later chunks are re-cut from `data` itself
+      data = data.subspan(refs.front().size - carried);
+    }
+    for (const ChunkRef& r : refs) {
+      pieces.push_back(
+          Piece{Fingerprint{}, ByteView(carry_).subspan(r.offset, r.size)});
+    }
+  }
+  const std::size_t from_carry = pieces.size();
+  ByteView tail;
+  if (!data.empty()) {
+    if (pipeline_ != nullptr) {
+      for (const StreamChunk& c : pipeline_->run(data)) {
+        pieces.push_back(Piece{c.fp, data.subspan(c.stream_offset, c.size)});
+      }
+    } else {
+      owner_->chunker_->split_to(data, [&](const ChunkRef& r) {
+        pieces.push_back(Piece{Fingerprint{}, data.subspan(r.offset, r.size)});
+      });
+    }
+    if (!last) {  // the final chunk may continue in the next piece
+      tail = pieces.back().data;
+      pieces.pop_back();
+    }
+  }
+  // What the pipeline did not hash: the carry's chunks, or every chunk.
+  fingerprint(pieces, pipeline_ != nullptr ? from_carry : pieces.size());
+  st_.chunk_count += pieces.size();
+  dedup(pieces);
+  // Only now may the old carry go: the pieces above pointed into it.
+  carry_.assign(tail.begin(), tail.end());
+}
+
+void IngestStream::fingerprint(std::vector<Piece>& pieces, std::size_t n) {
+  if (n == 0) return;
+  // Batched multi-buffer fingerprinting; the piece vector is stable while
+  // the batch holds output pointers into it.
+  simd::FingerprintBatch batch;
+  for (std::size_t i = 0; i < n; ++i) batch.add(pieces[i].data, &pieces[i].fp);
+  batch.flush();
+  // Ingest threads run concurrently: shard + merge, same as the pipeline.
+  obs::MetricsRegistry shard;
+  auto& hist = shard.histogram("fingerprint.batch_size");
+  for (const std::uint32_t s : batch.flush_sizes()) hist.observe(s);
+  obs::MetricsRegistry::global().merge_from(shard);
+}
+
+void IngestStream::dedup(const std::vector<Piece>& pieces) {
+  ShardedPagedIndex& index = owner_->index_;
   // Stream-ordered locations; pending duplicates get theirs at resolution.
   std::vector<RecipeEntry> entries;
-  if (recipe != nullptr) entries.resize(chunks.size());
+  if (recipe_ != nullptr) entries.resize(pieces.size());
   std::vector<PendingDup> pending;
 
-  ContainerStore::StreamAppender appender = store_.open_stream();
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const StreamChunk& c = chunks[i];
-    const ByteView data = stream.subspan(c.stream_offset, c.size);
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    const Piece& c = pieces[i];
+    const auto size = static_cast<std::uint32_t>(c.data.size());
     ChunkLocation loc;
     const ShardedPagedIndex::ClaimResult claim =
-        index_.lookup_or_claim(c.fp, sim);
+        index.lookup_or_claim(c.fp, sim_);
     switch (claim.state) {
       case ShardedPagedIndex::ClaimState::kClaimed: {
-        ClaimGuard guard(index_, c.fp);
-        loc = appender.append(c.fp, data, kInvalidSegment, sim);
-        index_.publish(c.fp, IndexValue{loc, kInvalidSegment}, sim);
+        ClaimGuard guard(index, c.fp);
+        loc = appender_.append(c.fp, c.data, kInvalidSegment, sim_);
+        index.publish(c.fp, IndexValue{loc, kInvalidSegment}, sim_);
         guard.dismiss();
-        ++st.unique_chunks;
-        st.unique_bytes += c.size;
+        ++st_.unique_chunks;
+        st_.unique_bytes += size;
         break;
       }
       case ShardedPagedIndex::ClaimState::kPending:
         // The claimant has not published yet; queue the fingerprint and
-        // resolve (and charge) its published-location lookup at stream end.
-        ++st.pending_dup_chunks;
-        pending.push_back(PendingDup{c.fp, c.stream_offset, c.size,
-                                     recipe != nullptr ? i : SIZE_MAX});
-        ++st.dup_chunks;
-        st.dup_bytes += c.size;
+        // resolve (and charge) its published-location lookup below.
+        ++st_.pending_dup_chunks;
+        pending.push_back(PendingDup{c.fp, size, i});
+        ++st_.dup_chunks;
+        st_.dup_bytes += size;
         break;
       case ShardedPagedIndex::ClaimState::kExisting:
         loc = claim.value.location;
-        ++st.dup_chunks;
-        st.dup_bytes += c.size;
+        ++st_.dup_chunks;
+        st_.dup_bytes += size;
         break;
     }
-    if (recipe != nullptr) entries[i] = RecipeEntry{c.fp, loc};
+    if (recipe_ != nullptr) entries[i] = RecipeEntry{c.fp, loc};
   }
 
-  // Resolve pending duplicates: wait for each claimant's publish (it lands
-  // chunk-by-chunk, not at the claimant's stream end) and pay the
-  // published-location lookup this stream skipped inline. If the claimant
-  // abandoned (unwound before publishing), contend for the re-issued
-  // claim and store the chunk from this stream's own data.
-  std::uint64_t charged = 0;
+  // Resolve pending duplicates before this step's bytes go away: wait for
+  // each claimant's publish (it lands chunk-by-chunk, microseconds after
+  // the claim was observed) and pay the published-location lookup skipped
+  // inline. If the claimant abandoned (unwound before publishing), contend
+  // for the re-issued claim and store the chunk from this stream's bytes.
   const auto wait_start = std::chrono::steady_clock::now();
   for (const PendingDup& p : pending) {
     std::optional<ChunkLocation> loc;
     while (!loc.has_value()) {
-      if (const std::optional<IndexValue> hit = index_.peek(p.fp)) {
-        index_.lookup(p.fp, sim);  // the charged lookup this dup skipped
-        ++charged;
+      if (const std::optional<IndexValue> hit = index.peek(p.fp)) {
+        index.lookup(p.fp, sim_);  // the charged lookup this dup skipped
+        ++charged_;
         loc = hit->location;
         break;
       }
-      if (!index_.claim_pending(p.fp)) {
+      if (!index.claim_pending(p.fp)) {
         // Claim abandoned (or published in between; the claim call below
         // re-tests). lookup_or_claim charges like the lookup either way.
         const ShardedPagedIndex::ClaimResult retry =
-            index_.lookup_or_claim(p.fp, sim);
-        ++charged;
+            index.lookup_or_claim(p.fp, sim_);
+        ++charged_;
         if (retry.state == ShardedPagedIndex::ClaimState::kExisting) {
           loc = retry.value.location;
           break;
         }
         if (retry.state == ShardedPagedIndex::ClaimState::kClaimed) {
-          ClaimGuard guard(index_, p.fp);
-          const ByteView data = stream.subspan(p.offset, p.size);
-          const ChunkLocation stored =
-              appender.append(p.fp, data, kInvalidSegment, sim);
-          index_.publish(p.fp, IndexValue{stored, kInvalidSegment}, sim);
+          ClaimGuard guard(index, p.fp);
+          const ChunkLocation stored = appender_.append(
+              p.fp, pieces[p.piece].data, kInvalidSegment, sim_);
+          index.publish(p.fp, IndexValue{stored, kInvalidSegment}, sim_);
           guard.dismiss();
           // This chunk is unique after all — the original claimant never
           // stored it.
-          ++st.unique_chunks;
-          st.unique_bytes += p.size;
-          --st.dup_chunks;
-          st.dup_bytes -= p.size;
-          --st.pending_dup_chunks;
-          --charged;  // that was an append, not a dup-location lookup
+          ++st_.unique_chunks;
+          st_.unique_bytes += p.size;
+          --st_.dup_chunks;
+          st_.dup_bytes -= p.size;
+          --st_.pending_dup_chunks;
+          --charged_;  // that was an append, not a dup-location lookup
           loc = stored;
           break;
         }
         // kPending again: another waiter re-claimed; keep waiting for its
         // publish (undo the speculative charge — the loop pays on success).
-        --charged;
+        --charged_;
       }
       DEFRAG_CHECK_MSG(
           std::chrono::steady_clock::now() - wait_start < kPendingWaitLimit,
           "pending duplicate's claimant neither published nor abandoned");
       std::this_thread::yield();
     }
-    if (recipe != nullptr && p.entry != SIZE_MAX) {
-      entries[p.entry].location = *loc;
-    }
+    if (recipe_ != nullptr) entries[p.piece].location = *loc;
   }
-  appender.close();
-  DEFRAG_CHECK_MSG(charged == st.pending_dup_chunks,
-                   "charged published-location lookups != resolved "
-                   "pending duplicates");
 
-  if (recipe != nullptr) {
+  if (recipe_ != nullptr) {
     for (const RecipeEntry& e : entries) {
       DEFRAG_CHECK_MSG(e.location.valid(),
                        "recipe entry without a resolved location");
-      recipe->add(e.fp, e.location);
+      recipe_->add(e.fp, e.location);
     }
   }
-
-  st.io = sim.stats();
-  st.sim_seconds = sim.elapsed_seconds();
-  st.wall_seconds = seconds_since(wall_start);
-  return st;
 }
 
 ParallelIngestResult ParallelIngestor::ingest(

@@ -15,7 +15,8 @@
 // under any interleaving. A kPending duplicate cannot pay the published-
 // location lookup inline (the claimant has not published yet, and blocking
 // on it would serialize the streams), so its fingerprint is queued; at
-// stream end the stream waits for each queued claim's publish (claims are
+// the end of the piece it arrived in (see IngestStream) the stream waits
+// for each queued claim's publish (claims are
 // published chunk-by-chunk, microseconds after they are observed pending)
 // and then pays the published-location lookup it skipped — so recipe-grade
 // location metadata is available for every duplicate and the charged
@@ -24,16 +25,17 @@
 // one waiter re-claims and stores the chunk itself, so waiters never hang
 // on a dead claim.
 //
-// Two entry points:
+// Entry points:
 //  - ingest(streams): the one-shot batch API — spawns one thread per
 //    stream, joins them all, returns aggregate stats. Single caller at a
 //    time per ingestor.
-//  - ingest_stream(stream, recipe): the service API — safe to call from
-//    many threads concurrently (the defrag-serve session scheduler calls
-//    it directly from session threads, see src/service/). With a non-null
+//  - open_stream(recipe): the service API — an IngestStream takes the
+//    stream in pieces as they arrive; the defrag-serve session feeds it
+//    each BACKUP_DATA frame (src/service/session.h). With a non-null
 //    `recipe` it records one entry per chunk in stream order with a
 //    published location for every duplicate, making the stream
 //    restore-grade via dedup/restore_strategies.h.
+//  - ingest_stream(stream, recipe): open_stream + one feed() + finish().
 #pragma once
 
 #include <atomic>
@@ -103,6 +105,8 @@ struct ParallelIngestResult {
   double throughput_mb_s() const;
 };
 
+class IngestStream;
+
 class ParallelIngestor {
  public:
   explicit ParallelIngestor(const ParallelIngestParams& params = {});
@@ -116,10 +120,13 @@ class ParallelIngestor {
   ParallelIngestResult ingest(const std::vector<ByteView>& streams,
                               std::vector<Recipe>* recipes = nullptr);
 
-  /// Ingest one stream on the calling thread. Thread-safe: any number of
-  /// threads may run ingest_stream() concurrently on the same ingestor —
-  /// this is the long-running service entry point, where sessions arrive
-  /// at arbitrary times instead of in synchronized waves. When `recipe` is
+  /// Open one incremental stream. Thread-safe: streams may be opened and
+  /// fed concurrently from any number of threads, arriving at arbitrary
+  /// times. `recipe`, when non-null, must outlive the stream.
+  IngestStream open_stream(Recipe* recipe = nullptr);
+
+  /// Ingest one whole stream on the calling thread: open_stream(), one
+  /// feed(), finish(). Thread-safe like open_stream(). When `recipe` is
   /// non-null it receives one entry per chunk (stream order, published
   /// locations), so the caller can restore the stream bit-identically with
   /// restore_with_strategy(); the stream's own containers are sealed
@@ -131,6 +138,8 @@ class ParallelIngestor {
   const ParallelIngestParams& params() const { return params_; }
 
  private:
+  friend class IngestStream;
+
   ParallelIngestParams params_;
   std::unique_ptr<Chunker> chunker_;
   ShardedPagedIndex index_;
@@ -138,6 +147,78 @@ class ParallelIngestor {
   /// Stream ids for stats attribution; monotonically increasing across the
   /// ingestor's lifetime (service sessions interleave arbitrarily).
   std::atomic<std::size_t> next_stream_id_{0};
+};
+
+/// One backup stream ingested piece by piece. Boundaries of the gear,
+/// rabin and fixed chunkers depend only on the bytes from a chunk's start
+/// (never on where the stream was cut into pieces), so between pieces the
+/// stream keeps only its last, possibly unterminated chunk — the carry, at
+/// most `chunker.max_size` bytes — and re-splits it with the next piece's
+/// first bytes. The chunks, recipe entries, StreamIngestStats (simulated
+/// clock included) and containers are exactly those of one feed() of the
+/// whole stream, however it was cut.
+///
+/// Each feed() chunks, fingerprints and deduplicates its terminated chunks
+/// before returning — including waiting out the kPending duplicates it met
+/// and re-storing any whose claimant abandoned — so the caller may release
+/// the piece's bytes as soon as feed() returns. Chunking + fingerprinting
+/// CPU is charged once, in finish(), from the stream's total bytes.
+///
+/// The stream's containers stay open between pieces; a restore that
+/// references one waits in ContainerStore::wait_sealed until finish() or
+/// destruction seals it. Destroying an unfinished stream (the writer
+/// failed or went away) seals through the appender's non-injecting
+/// finish() and commits nothing; chunks already stored stay in the store
+/// and index. One thread at a time per stream.
+class IngestStream {
+ public:
+  IngestStream(IngestStream&&) noexcept = default;
+  IngestStream& operator=(IngestStream&&) = delete;
+  IngestStream(const IngestStream&) = delete;
+  IngestStream& operator=(const IngestStream&) = delete;
+  ~IngestStream() noexcept = default;
+
+  /// Ingest the next piece of the stream. Empty pieces are no-ops.
+  void feed(ByteView piece);
+
+  /// Ingest the carry, seal the stream's containers and return its stats
+  /// (`wall_seconds` is the busy time inside feed() and finish()). Call
+  /// once; no feed() after it.
+  StreamIngestStats finish();
+
+  /// Stream bytes this object holds between feeds (the carry's buffer).
+  std::uint64_t buffered_bytes() const { return carry_.capacity(); }
+
+ private:
+  friend class ParallelIngestor;
+  IngestStream(ParallelIngestor& owner, Recipe* recipe);
+
+  /// A terminated chunk whose bytes are alive for the current step.
+  struct Piece {
+    Fingerprint fp;
+    ByteView data;
+  };
+
+  /// Chunk `data` behind the carry; with `last` the carry and every chunk
+  /// are terminated, otherwise the final chunk becomes the new carry.
+  void step(ByteView data, bool last);
+  /// Fingerprint the first `n` pieces in one multi-buffer batch.
+  void fingerprint(std::vector<Piece>& pieces, std::size_t n);
+  /// Claim/append/publish every piece, resolve the pending duplicates met
+  /// and record recipe entries.
+  void dedup(const std::vector<Piece>& pieces);
+
+  ParallelIngestor* owner_;
+  Recipe* recipe_;
+  std::unique_ptr<StreamPipeline> pipeline_;  // when pipeline_workers >= 1
+  ContainerStore::StreamAppender appender_;
+  DiskSim sim_;
+  StreamIngestStats st_;
+  /// Published-location lookups paid for resolved pending duplicates.
+  std::uint64_t charged_ = 0;
+  Bytes carry_;
+  double busy_seconds_ = 0.0;
+  bool finished_ = false;
 };
 
 }  // namespace defrag

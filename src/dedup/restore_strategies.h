@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/bytes.h"
@@ -41,9 +42,22 @@ struct RestoreOptions {
   std::uint64_t assembly_bytes = 16ull << 20;
 };
 
+/// Receives the restored stream in order, one chunk's bytes per call. The
+/// view points into container memory and is valid only during the call.
+using RestoreSink = std::function<void(ByteView)>;
+
 /// Restore `recipe` from `store` under the given strategy, charging I/O to a
-/// fresh DiskSim built from `disk`. When `out` is non-null the restored
-/// bytes are appended (callers verify integrity).
+/// fresh DiskSim built from `disk`. When `sink` is non-empty it receives
+/// the restored bytes as they are assembled (the daemon frames them onto
+/// the wire without an intermediate copy of the whole stream).
+RestoreResult restore_with_strategy(const ContainerStore& store,
+                                    const Recipe& recipe,
+                                    const DiskModel& disk,
+                                    const RestoreOptions& options,
+                                    const RestoreSink& sink);
+
+/// Adapter over the sink form: when `out` is non-null the restored bytes
+/// are appended to it (callers verify integrity).
 RestoreResult restore_with_strategy(const ContainerStore& store,
                                     const Recipe& recipe,
                                     const DiskModel& disk,

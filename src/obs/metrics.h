@@ -71,6 +71,16 @@ class Gauge {
     v_.store(v, std::memory_order_relaxed);
     set_flag_.store(true, std::memory_order_relaxed);
   }
+  /// Raise the value to `v` when `v` is larger (a high-water mark that
+  /// concurrent writers share; an unset gauge reads 0).
+  void set_max(double v) {
+    if (!detail::on()) return;
+    double cur = v_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+    set_flag_.store(true, std::memory_order_relaxed);
+  }
   double value() const { return v_.load(std::memory_order_relaxed); }
   bool is_set() const { return set_flag_.load(std::memory_order_relaxed); }
 

@@ -35,6 +35,8 @@ Server::Server(const ServerConfig& config)
   reg.counter("service.requests_slow");
   reg.counter("service.session_internal_errors");
   reg.gauge("service.active_sessions").set(0.0);
+  // A process-wide high-water mark: registered without lowering it.
+  reg.gauge("service.session.buffered_bytes_high_water").set_max(0.0);
   // Per-request latency histograms, one per timed protocol op. Sessions
   // observe into these by runtime-built name; registering them here keeps
   // the names literal (the metric-docs lint contract) and present in a

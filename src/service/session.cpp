@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -81,6 +83,9 @@ void Session::run() {
     // storage-layer escape) — same containment: session dies, daemon lives.
     report_internal_error("session.internal_error", e.what());
   }
+  // A backup still open here was abandoned (disconnect or error): seal its
+  // containers now, so restores waiting on them proceed.
+  end_backup();
   if (admitted_) {
     flush_metrics();
     env_.scheduler.release(tenant_);
@@ -171,27 +176,25 @@ bool Session::handle(ByteView payload) {
   switch (type) {
     case FrameType::kHello:
       throw WireError("duplicate HELLO");
-    case FrameType::kBackupBegin: {
-      if (in_backup_) throw WireError("BACKUP_BEGIN inside a backup");
-      const BackupBeginRequest req = parse_backup_begin(body);
-      in_backup_ = true;
-      backup_label_ = req.label;
-      backup_data_.clear();
-      send(encode_empty(FrameType::kOk));
-      return true;
-    }
+    case FrameType::kBackupBegin:
+      return do_backup_begin(body);
     case FrameType::kBackupData:
       if (!in_backup_) throw WireError("BACKUP_DATA outside a backup");
-      if (backup_data_.size() + body.size() > kMaxBackupBytes) {
+      if (backup_bytes_ + body.size() > kMaxBackupBytes) {
         throw WireError("backup stream exceeds size cap");
       }
-      backup_data_.insert(backup_data_.end(), body.begin(), body.end());
+      do_backup_data(body, payload.size());
       return true;
     case FrameType::kBackupEnd:
       parse_empty(body);
       if (!in_backup_) throw WireError("BACKUP_END outside a backup");
-      return timed("backup", [this] { return do_backup_end(); });
+      return timed(
+          "backup", [this] { return do_backup_end(); }, backup_busy_us_);
     case FrameType::kRestore: {
+      // The open backup's containers seal only at its END or disconnect,
+      // so a restore waiting on one of them from this session would wait
+      // on itself.
+      if (in_backup_) throw WireError("RESTORE inside a backup");
       const RestoreRequest req = parse_restore(body);
       return timed("restore", [this, &req] { return do_restore(req); });
     }
@@ -215,7 +218,8 @@ bool Session::handle(ByteView payload) {
   }
 }
 
-bool Session::timed(const char* op, const std::function<bool()>& body) {
+bool Session::timed(const char* op, const std::function<bool()>& body,
+                    double prior_us) {
   const auto start = std::chrono::steady_clock::now();
   bool keep = false;
   {
@@ -224,7 +228,7 @@ bool Session::timed(const char* op, const std::function<bool()>& body) {
     obs::TraceSpan span(span_name, "service");
     keep = body();
   }
-  const double us = us_since(start);
+  const double us = prior_us + us_since(start);
   // Name built at runtime; the documented set is registered literally in
   // Server's constructor, one per FrameType op.
   std::string metric = "service.request.";
@@ -242,18 +246,67 @@ bool Session::timed(const char* op, const std::function<bool()>& body) {
   return keep;
 }
 
-bool Session::do_backup_end() {
+bool Session::do_backup_begin(ByteView body) {
+  if (in_backup_) throw WireError("BACKUP_BEGIN inside a backup");
+  const BackupBeginRequest req = parse_backup_begin(body);
+  backup_recipe_.emplace(req.label.empty() ? tenant_ : req.label);
+  backup_stream_.emplace(env_.ingestor.open_stream(&*backup_recipe_));
+  in_backup_ = true;
+  backup_bytes_ = 0;
+  backup_busy_us_ = 0.0;
+  send(encode_empty(FrameType::kOk));
+  return true;
+}
+
+void Session::do_backup_data(ByteView body, std::size_t frame_bytes) {
+  backup_bytes_ += body.size();
+  if (backup_failure_) return;  // drained; reported at BACKUP_END
   const auto start = std::chrono::steady_clock::now();
-  Recipe recipe(backup_label_.empty() ? tenant_ : backup_label_);
-  const StreamIngestStats st =
-      env_.ingestor.ingest_stream(ByteView(backup_data_), &recipe);
-  const std::uint32_t id = env_.catalog.commit(tenant_, std::move(recipe));
+  // Held, not thrown: the client is still streaming frames, and an ERROR
+  // it cannot read until BACKUP_END must not arrive as a connection reset
+  // mid-upload. The same two types the session boundary handles; both
+  // reach it unchanged through the rethrow in do_backup_end().
+  try {
+    backup_stream_->feed(body);
+  } catch (const CheckFailure&) {
+    backup_failure_ = std::current_exception();
+  } catch (const std::exception&) {
+    backup_failure_ = std::current_exception();
+  }
+  backup_busy_us_ += us_since(start);
+  // The received frame plus what the stream holds between frames.
+  obs::MetricsRegistry::global()
+      .gauge("service.session.buffered_bytes_high_water")
+      .set_max(static_cast<double>(frame_bytes +
+                                   backup_stream_->buffered_bytes()));
+  if (backup_failure_) backup_stream_.reset();  // seal what it stored
+}
+
+void Session::end_backup() noexcept {
+  backup_stream_.reset();
+  backup_recipe_.reset();
+  backup_failure_ = nullptr;
+  in_backup_ = false;
+}
+
+bool Session::do_backup_end() {
+  if (backup_failure_) {
+    const std::exception_ptr failure = backup_failure_;
+    end_backup();
+    std::rethrow_exception(failure);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const StreamIngestStats st = backup_stream_->finish();
+  const std::uint32_t id =
+      env_.catalog.commit(tenant_, std::move(*backup_recipe_));
+  end_backup();
 
   local_.counter(scope_ + "backups").add(1);
   local_.counter(scope_ + "logical_bytes").add(st.logical_bytes);
   local_.counter(scope_ + "unique_bytes").add(st.unique_bytes);
   local_.counter(scope_ + "dup_bytes").add(st.dup_bytes);
-  local_.histogram(scope_ + "backup_wall_us").observe(us_since(start));
+  local_.histogram(scope_ + "backup_wall_us")
+      .observe(backup_busy_us_ + us_since(start));
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("service.backups").add(1);
   reg.counter("service.bytes_ingested").add(st.logical_bytes);
@@ -269,9 +322,6 @@ bool Session::do_backup_end() {
   resp.chunk_count = st.chunk_count;
   resp.unique_bytes = st.unique_bytes;
   resp.dup_bytes = st.dup_bytes;
-  in_backup_ = false;
-  backup_data_.clear();
-  backup_data_.shrink_to_fit();
   send(encode(resp));
   return true;
 }
@@ -285,9 +335,10 @@ bool Session::do_restore(const RestoreRequest& req) {
     return true;  // unservable but well-formed; session continues
   }
 
-  // Another tenant's in-flight backup may still hold a referenced
+  // Another session's in-flight backup may still hold a referenced
   // container open; wait for every distinct container's seal to be
-  // published before reading (bounded by that stream's appender close).
+  // published before reading (bounded by that backup's BACKUP_END or
+  // disconnect, which seal its containers).
   std::set<ContainerId> referenced;
   for (const RecipeEntry& e : recipe->entries()) {
     referenced.insert(e.location.container);
@@ -295,31 +346,44 @@ bool Session::do_restore(const RestoreRequest& req) {
   const ContainerStore& store = env_.ingestor.store();
   for (const ContainerId id : referenced) store.wait_sealed(id);
 
-  Bytes out;
-  out.reserve(recipe->logical_bytes());
+  // One RESTORE_DATA frame, filled straight from container memory and sent
+  // each time it holds kRestoreDataChunk bytes, then reused.
+  Bytes frame = encode_empty(FrameType::kRestoreData);
+  const std::size_t header = frame.size();
+  frame.reserve(header + kRestoreDataChunk);
+  const auto flush_frame = [&] {
+    send(frame);
+    frame.resize(header);
+  };
   const RestoreOptions options;
   const RestoreResult rr = restore_with_strategy(
-      store, *recipe, env_.ingestor.params().disk, options, &out);
+      store, *recipe, env_.ingestor.params().disk, options,
+      [&](ByteView bytes) {
+        while (!bytes.empty()) {
+          const std::size_t n = std::min<std::size_t>(
+              bytes.size(), header + kRestoreDataChunk - frame.size());
+          frame.insert(frame.end(), bytes.begin(),
+                       bytes.begin() + static_cast<std::ptrdiff_t>(n));
+          bytes = bytes.subspan(n);
+          if (frame.size() == header + kRestoreDataChunk) flush_frame();
+        }
+      });
+  if (frame.size() > header) flush_frame();
 
   local_.counter(scope_ + "restores").add(1);
-  local_.counter(scope_ + "restored_bytes").add(out.size());
+  local_.counter(scope_ + "restored_bytes").add(rr.logical_bytes);
   local_.histogram(scope_ + "restore_wall_us").observe(us_since(start));
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("service.restores").add(1);
-  reg.counter("service.bytes_restored").add(out.size());
+  reg.counter("service.bytes_restored").add(rr.logical_bytes);
   flush_metrics();
   DEFRAG_LOG_INFO("session.restore", {"tenant", tenant_},
                   {"backup_id", req.backup_id},
-                  {"bytes", out.size()},
+                  {"bytes", rr.logical_bytes},
                   {"container_loads", rr.container_loads});
 
-  for (std::uint64_t off = 0; off < out.size(); off += kRestoreDataChunk) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kRestoreDataChunk, out.size() - off);
-    send(encode_restore_data(ByteView(out).subspan(off, n)));
-  }
   RestoreDoneResponse resp;
-  resp.logical_bytes = out.size();
+  resp.logical_bytes = rr.logical_bytes;
   resp.container_loads = rr.container_loads;
   send(encode(resp));
   return true;

@@ -15,15 +15,26 @@
 //  - every request runs under timed(): a "service.<op>" trace span, a
 //    sample in the service.request.<op>_us histogram, and — over the
 //    configured slow threshold — a service.slow_request warning plus the
-//    service.requests_slow counter. BACKUP_DATA is deliberately untimed:
-//    it is the hot byte-append path and has no response to attribute.
+//    service.requests_slow counter. BACKUP_DATA frames have no response
+//    of their own: each frame's ingest time is added to the backup's
+//    service.request.backup_us sample, observed once at BACKUP_DONE, so
+//    that sample is the server's busy time for the whole backup.
 //
-// Data plane: BACKUP_END hands the accumulated stream to
-// ParallelIngestor::ingest_stream() with a Recipe, and commits the recipe
-// into the tenant's namespace; RESTORE fetches the recipe, waits for every
-// container it references to be *sealed* (ContainerStore::wait_sealed — the
-// barrier that makes restoring concurrently with other tenants' in-flight
-// backups race-free), and replays it through restore_with_strategy().
+// Data plane: BACKUP_BEGIN opens a ParallelIngestor::open_stream() with
+// the backup's Recipe; every BACKUP_DATA frame is fed into it as it
+// arrives, and BACKUP_END finishes the stream and commits the recipe into
+// the tenant's namespace. Between frames the session holds at most the
+// stream's carry (one chunk), never the backup. A failure inside a frame's
+// ingest is held, the remaining frames are drained unread, and the
+// failure is rethrown at BACKUP_END so the client gets its ERROR there;
+// the size cap (kMaxBackupBytes) is still a WireError at the frame that
+// crosses it. RESTORE fetches the recipe, waits for every container it
+// references to be *sealed* (ContainerStore::wait_sealed — the barrier
+// that makes restoring concurrently with other sessions' in-flight
+// backups race-free; a backup's containers stay open until its
+// BACKUP_END or disconnect), and replays it through
+// restore_with_strategy() into one reused RESTORE_DATA frame buffer that
+// is sent each time it fills.
 //
 // Metrics: session-scoped values accumulate in a session-local
 // MetricsRegistry under the tenant's "service.tenant.<slug>." scope and
@@ -35,7 +46,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <string>
@@ -48,11 +61,12 @@
 #include "service/scheduler.h"
 #include "service/socket.h"
 #include "service/tenant.h"
+#include "storage/recipe.h"
 
 namespace defrag::service {
 
-/// Cap on one accumulated backup stream (the service is an in-memory
-/// simulation; a runaway client should fail cleanly, not OOM the daemon).
+/// Cap on one backup stream (the service is an in-memory simulation; a
+/// runaway client should fail cleanly, not OOM the daemon's store).
 inline constexpr std::uint64_t kMaxBackupBytes = 1ull << 30;
 
 /// Everything a session borrows from its Server. All references outlive
@@ -97,7 +111,13 @@ class Session {
   bool handle_hello(ByteView body);
   /// One post-admission request. Returns false to close the connection.
   bool handle(ByteView payload);
+  bool do_backup_begin(ByteView body);
+  /// Ingest one BACKUP_DATA frame into the open stream, or drain it once
+  /// an earlier frame failed. `frame_bytes` is the whole received payload.
+  void do_backup_data(ByteView body, std::size_t frame_bytes);
   bool do_backup_end();
+  /// Drop the open backup (stream sealed, nothing committed).
+  void end_backup() noexcept;
   bool do_restore(const RestoreRequest& req);
   bool do_list();
   bool do_metrics();
@@ -106,8 +126,10 @@ class Session {
   bool do_shutdown();
   /// Run `body` as one named request: trace span, latency histogram,
   /// slow-request accounting. `op` must be one of the documented
-  /// service.request.<op>_us names.
-  bool timed(const char* op, const std::function<bool()>& body);
+  /// service.request.<op>_us names. `prior_us` is server time the request
+  /// already spent before this call (a backup's frame ingests).
+  bool timed(const char* op, const std::function<bool()>& body,
+             double prior_us = 0.0);
   void send(const Bytes& payload) { conn_.send_frame(payload); }
   /// Fold the session-local registry into the global one and clear it.
   void flush_metrics();
@@ -128,8 +150,14 @@ class Session {
   obs::MetricsRegistry local_;
 
   bool in_backup_ = false;
-  std::string backup_label_;
-  Bytes backup_data_;
+  std::optional<Recipe> backup_recipe_;
+  /// Open between BACKUP_BEGIN and BACKUP_END; points at backup_recipe_.
+  std::optional<IngestStream> backup_stream_;
+  std::uint64_t backup_bytes_ = 0;
+  /// Server time spent ingesting this backup's frames so far.
+  double backup_busy_us_ = 0.0;
+  /// First failure inside a BACKUP_DATA frame, rethrown at BACKUP_END.
+  std::exception_ptr backup_failure_;
 };
 
 }  // namespace defrag::service

@@ -61,6 +61,37 @@ TEST_P(RestoreStrategyTest, SimulationOnlyModeMatchesCosts) {
   EXPECT_DOUBLE_EQ(with_bytes.sim_seconds, sim_only.sim_seconds);
 }
 
+// The Bytes* overload is an adapter over the sink form: same bytes, same
+// RestoreResult, and the sink sees one call per recipe entry.
+TEST_P(RestoreStrategyTest, SinkFormMatchesBytesForm) {
+  RestoreOptions opt;
+  opt.strategy = GetParam();
+  for (std::uint32_t g = 1; g <= 4; ++g) {
+    const Recipe& recipe = base().recipe_store().get(g);
+    Bytes via_bytes;
+    const RestoreResult a = restore_with_strategy(
+        base().container_store(), recipe, base().config().disk, opt,
+        &via_bytes);
+    Bytes via_sink;
+    std::size_t calls = 0;
+    const RestoreResult b = restore_with_strategy(
+        base().container_store(), recipe, base().config().disk, opt,
+        [&](ByteView bytes) {
+          ++calls;
+          via_sink.insert(via_sink.end(), bytes.begin(), bytes.end());
+        });
+    EXPECT_EQ(via_sink, via_bytes) << "generation " << g;
+    EXPECT_EQ(calls, recipe.entries().size());
+    EXPECT_EQ(a.logical_bytes, b.logical_bytes);
+    EXPECT_EQ(a.container_loads, b.container_loads);
+    EXPECT_EQ(a.cache_hit_rate, b.cache_hit_rate);
+    EXPECT_EQ(a.io.seeks, b.io.seeks);
+    EXPECT_EQ(a.io.bytes_read, b.io.bytes_read);
+    EXPECT_EQ(a.io.bytes_written, b.io.bytes_written);
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, RestoreStrategyTest,
                          ::testing::Values(RestoreStrategy::kContainerLru,
                                            RestoreStrategy::kChunkLru,

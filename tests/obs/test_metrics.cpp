@@ -52,6 +52,23 @@ TEST(MetricsRegistryTest, GaugeTracksSetFlag) {
   EXPECT_DOUBLE_EQ(g.value(), -2.5);
 }
 
+TEST(MetricsRegistryTest, GaugeSetMaxKeepsTheHighWaterMark) {
+  MetricsRegistry reg;
+  Gauge& g = reg.gauge("x.high_water");
+  g.set_max(0.0);
+  EXPECT_TRUE(g.is_set());
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&g, t] {
+      for (int i = 0; i < 1000; ++i) g.set_max(t * 1000.0 + i);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_DOUBLE_EQ(g.value(), 3999.0);
+  g.set_max(5.0);  // lower values never pull it down
+  EXPECT_DOUBLE_EQ(g.value(), 3999.0);
+}
+
 TEST(MetricsRegistryTest, HistogramFeedsStatsAndBuckets) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("x.us");

@@ -209,6 +209,34 @@ TEST_F(FaultInjectionTest, StreamAppendFaultFailsBackupWithTypedError) {
   expect_backup_fault("store.stream_append", 9010);
 }
 
+// A fault inside the first of three BACKUP_DATA frames is held while the
+// other two are drained unread, then reported at BACKUP_END as a typed
+// ERROR — not a connection reset mid-upload. Nothing is committed, the
+// site fires exactly once, and another tenant's data is untouched.
+TEST_F(FaultInjectionTest, FaultInFirstFrameIsReportedAtBackupEnd) {
+  start();
+  const Bytes safe = testing::random_bytes(1 << 20, 9030);
+  Client bystander(path(), "bystander");
+  const std::uint32_t safe_id = bystander.backup("safe", ByteView(safe))
+                                    .backup_id;
+  const std::uint64_t internal_before =
+      obs::MetricsRegistry::global()
+          .counter("service.session_internal_errors")
+          .value();
+
+  const Bytes data = testing::random_bytes(12 << 20, 9031);  // 3 frames
+  const std::uint64_t before = failpoint::hit_count("store.stream_append");
+  Client client(path(), "faulty");
+  failpoint::arm("store.stream_append", Action::kThrow);
+  EXPECT_THROW(client.backup("doomed", ByteView(data)), RemoteError);
+  EXPECT_EQ(failpoint::hit_count("store.stream_append"), before + 1);
+  EXPECT_TRUE(wait_counter_at_least("service.session_internal_errors",
+                                    internal_before + 1));
+  EXPECT_TRUE(server_->catalog().list("faulty").empty());
+
+  EXPECT_EQ(bystander.restore(safe_id), safe);
+}
+
 TEST_F(FaultInjectionTest, StreamSealFaultFailsBackupWithTypedError) {
   start();
   expect_backup_fault("store.stream_seal", 9011);

@@ -16,13 +16,17 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chunking/chunker.h"
 #include "common/bytes.h"
+#include "core/parallel_ingest.h"
+#include "index/sharded_index.h"
 #include "obs/metrics.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -51,6 +55,27 @@ bool wait_counter_at_least(const char* name, std::uint64_t target) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+/// A connected, admitted session speaking raw frames (for clients that
+/// stop between frames, which Client never does).
+Conn hello_as(const std::string& socket_path, const std::string& tenant) {
+  Conn conn = connect_unix(socket_path);
+  HelloRequest hello;
+  hello.tenant = tenant;
+  conn.send_frame(ByteView(encode(hello)));
+  const std::optional<Bytes> reply = conn.recv_frame();
+  EXPECT_TRUE(reply.has_value() &&
+              frame_type(ByteView(*reply)) == FrameType::kHelloOk);
+  return conn;
+}
+
+/// The next frame's type (WireError-free peers only).
+FrameType next_type(Conn& conn, Bytes* body = nullptr) {
+  const std::optional<Bytes> reply = conn.recv_frame();
+  if (!reply.has_value()) return FrameType::kError;
+  if (body != nullptr) *body = to_bytes(frame_body(ByteView(*reply)));
+  return frame_type(ByteView(*reply));
 }
 
 class ServiceE2ETest : public ::testing::Test {
@@ -285,6 +310,158 @@ TEST_F(ServiceE2ETest, DrainLetsInFlightBackupComplete) {
   }
   stopper.join();
   server_thread_.join();
+}
+
+// A hostile client streams a 68 MiB backup in one BACKUP_BEGIN/END: the
+// session's data memory must stay at one frame plus the ingest stream's
+// carry however long the stream runs, and the backup must still restore
+// bit-identically, in RESTORE_DATA frames no larger than 4 MiB.
+TEST_F(ServiceE2ETest, HugeBackupKeepsSessionBufferingBounded) {
+  start();
+  constexpr std::size_t kFrame = 4 << 20;
+  constexpr std::size_t kFrames = 17;  // 68 MiB
+  // Repeating one random block keeps the store (and this test) small.
+  const Bytes block = testing::random_bytes(kFrame, 7010);
+  Conn conn = hello_as(path(), "hostile");
+  conn.send_frame(ByteView(encode(BackupBeginRequest{"huge"})));
+  ASSERT_EQ(next_type(conn), FrameType::kOk);
+  const Bytes frame = encode_backup_data(ByteView(block));
+  for (std::size_t i = 0; i < kFrames; ++i) conn.send_frame(ByteView(frame));
+  conn.send_frame(ByteView(encode_empty(FrameType::kBackupEnd)));
+  Bytes body;
+  ASSERT_EQ(next_type(conn, &body), FrameType::kBackupDone);
+  const BackupDoneResponse done = parse_backup_done(ByteView(body));
+  EXPECT_EQ(done.logical_bytes, kFrames * kFrame);
+
+  const std::uint64_t max_size = server_->ingestor().params().chunker.max_size;
+  const double high_water =
+      obs::MetricsRegistry::global()
+          .gauge("service.session.buffered_bytes_high_water")
+          .value();
+  EXPECT_GE(high_water, static_cast<double>(frame.size()));
+  EXPECT_LE(high_water, static_cast<double>(frame.size() + 2 * max_size));
+
+  RestoreRequest req;
+  req.backup_id = done.backup_id;
+  conn.send_frame(ByteView(encode(req)));
+  std::uint64_t got = 0;
+  bool identical = true;
+  while (next_type(conn, &body) == FrameType::kRestoreData) {
+    EXPECT_LE(body.size(), kFrame);
+    for (std::size_t i = 0; i < body.size() && identical; ++i) {
+      identical = body[i] == block[(got + i) % kFrame];
+    }
+    got += body.size();
+  }
+  ASSERT_EQ(parse_restore_done(ByteView(body)).logical_bytes, got);
+  EXPECT_EQ(got, kFrames * kFrame);
+  EXPECT_TRUE(identical);
+}
+
+// BACKUP_DATA frames are ingested as they arrive, but a backup is still
+// one request: service.request.backup_us gets one sample per backup, at
+// BACKUP_DONE, covering every frame's ingest, not one per frame.
+TEST_F(ServiceE2ETest, BackupLatencyIsOneSamplePerBackup) {
+  start();
+  const auto backup_samples = [] {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const obs::MetricEntry* e = snap.find("service.request.backup_us");
+    return e == nullptr ? 0u : e->hist_stats.count();
+  };
+  const std::uint64_t before = backup_samples();
+  const Bytes data = testing::random_bytes((8 << 20) + 12345, 7030);
+  Client client(path(), "timed");
+  client.backup("three-frames", ByteView(data));
+  // The sample lands just after BACKUP_DONE is sent; poll for it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (backup_samples() < before + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(backup_samples(), before + 1);
+}
+
+/// Session A opens a backup and sends one frame, then stalls; session B
+/// backs up the same bytes (deduplicating into A's still-open container),
+/// commits, and restores. B's restore must wait for A's container to seal,
+/// then complete bit-identically once A ends its backup (`disconnect`
+/// false) or hangs up (true). An aborted backup commits nothing, and its
+/// stored chunks serve later backups.
+void restore_waits_on_open_backup(Server& server, bool disconnect) {
+  const Bytes data = testing::random_bytes(1 << 20, disconnect ? 7021 : 7020);
+  Conn writer = hello_as(server.socket_path(), "writer");
+  writer.send_frame(ByteView(encode(BackupBeginRequest{"stalled"})));
+  ASSERT_EQ(next_type(writer), FrameType::kOk);
+  writer.send_frame(ByteView(encode_backup_data(ByteView(data))));
+
+  // A's frame is ingested once its last terminated chunk is published
+  // (the final chunk stays in A's carry until BACKUP_END).
+  const ParallelIngestParams& params = server.ingestor().params();
+  const std::vector<ChunkRef> refs =
+      make_chunker(params.chunker_kind, params.chunker)->split(ByteView(data));
+  ASSERT_GE(refs.size(), 2u);
+  const ChunkRef last_stored = refs[refs.size() - 2];
+  const Fingerprint probe = Fingerprint::of(
+      ByteView(data).subspan(last_stored.offset, last_stored.size));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!server.ingestor().index().peek(probe).has_value()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Client reader(server.socket_path(), "reader");
+  const BackupDoneResponse done = reader.backup("dup", ByteView(data));
+  EXPECT_EQ(done.unique_bytes, refs.back().size);  // only A's carry is new
+  std::future<Bytes> restored = std::async(
+      std::launch::async, [&] { return reader.restore(done.backup_id); });
+  EXPECT_EQ(restored.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "restore read a container another session still has open";
+
+  if (disconnect) {
+    writer.close();
+  } else {
+    writer.send_frame(ByteView(encode_empty(FrameType::kBackupEnd)));
+    EXPECT_EQ(next_type(writer), FrameType::kBackupDone);
+  }
+  EXPECT_EQ(restored.get(), data);
+
+  if (disconnect) {
+    EXPECT_TRUE(server.catalog().list("writer").empty());
+  } else {
+    EXPECT_EQ(server.catalog().list("writer").size(), 1u);
+  }
+  Client again(server.socket_path(), "writer");
+  const BackupDoneResponse redo = again.backup("again", ByteView(data));
+  EXPECT_EQ(redo.unique_bytes, 0u);
+  EXPECT_EQ(again.restore(redo.backup_id), data);
+}
+
+TEST_F(ServiceE2ETest, RestoreWaitsForOpenBackupUntilItEnds) {
+  start();
+  restore_waits_on_open_backup(*server_, false);
+}
+
+TEST_F(ServiceE2ETest, RestoreWaitsForOpenBackupUntilItsWriterHangsUp) {
+  start();
+  restore_waits_on_open_backup(*server_, true);
+}
+
+// RESTORE inside one's own open backup would wait on the session's own
+// open container; it is a protocol violation instead.
+TEST_F(ServiceE2ETest, RestoreInsideOwnBackupIsWireError) {
+  start();
+  Conn conn = hello_as(path(), "self");
+  conn.send_frame(ByteView(encode(BackupBeginRequest{"open"})));
+  ASSERT_EQ(next_type(conn), FrameType::kOk);
+  RestoreRequest req;
+  req.backup_id = 1;
+  conn.send_frame(ByteView(encode(req)));
+  EXPECT_EQ(next_type(conn), FrameType::kError);
+  EXPECT_FALSE(conn.recv_frame().has_value());
 }
 
 }  // namespace

@@ -108,6 +108,16 @@ __attribute__((target("avx2"))) size_t gear_scan_avx2(
   return gear_scan_scalar(data, pos, end, mask, h, table);
 }
 
+// GCC 12's avx512fintrin.h builds its "undefined" vectors by self-
+// initialisation (`__m512i __Y = __Y;`), which -Wmaybe-uninitialized reports
+// at every inlined AVX-512 intrinsic (GCC bug 105593, fixed in GCC 13). The
+// report is about the header, not this code; it is silenced for the two
+// AVX-512 functions below only, so a -Werror build succeeds.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 /// Hillis-Steele prefix scan across the 8 u64 lanes of `g`: lane j becomes
 /// sum_{t<=j} g[t] << (j-t), i.e. the gear fold of 8 bytes starting from 0.
 __attribute__((target("avx2,avx512f"))) inline __m512i gear_prefix8(
@@ -185,6 +195,10 @@ __attribute__((target("avx2,avx512f"))) size_t gear_scan_avx512(
       _mm_cvtsi128_si64(_mm512_castsi512_si128(hv)));
   return gear_scan_scalar(data, pos, end, mask, h, table);
 }
+
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // DEFRAG_SIMD_X86
 

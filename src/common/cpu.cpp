@@ -11,7 +11,8 @@ IsaLevel detect() {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads CPUID once at startup (libgcc/compiler-rt
   // caches it); both GCC and Clang provide it on x86.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2")) {
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx2")) {
     return IsaLevel::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;

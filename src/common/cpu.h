@@ -25,7 +25,9 @@ enum class IsaLevel : int {
   kScalar = 0,  // portable C++, always available
   kSse41 = 1,   // SSE4.1 (128-bit integer compares)
   kAvx2 = 2,    // AVX2 (256-bit integer ops, used by the 8-lane SHA kernels)
-  kAvx512 = 3,  // AVX-512 F + AVX2 (512-bit gather/prefix gear scan)
+  kAvx512 = 3,  // AVX-512 F + VL + AVX2 (512-bit gather/prefix gear scan;
+                // EVEX-encoded 8-lane SHA: VL gives the ymm rotates and
+                // vpternlogd)
 };
 
 /// Hardware capability via CPUID, independent of overrides. Detected once

@@ -17,6 +17,20 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[2] = static_cast<std::uint8_t>(v >> 8);
   p[3] = static_cast<std::uint8_t>(v);
 }
+
+// The three round functions, each in its fewest-operation form.
+inline std::uint32_t choose(std::uint32_t x, std::uint32_t y,
+                            std::uint32_t z) {
+  return z ^ (x & (y ^ z));  // (x & y) | (~x & z)
+}
+inline std::uint32_t parity(std::uint32_t x, std::uint32_t y,
+                            std::uint32_t z) {
+  return x ^ y ^ z;
+}
+inline std::uint32_t majority(std::uint32_t x, std::uint32_t y,
+                              std::uint32_t z) {
+  return (x & y) | (z & (x | y));  // (x & y) | (x & z) | (y & z)
+}
 }  // namespace
 
 void Sha1::reset() {
@@ -25,38 +39,50 @@ void Sha1::reset() {
   buffered_ = 0;
 }
 
+// The 80 rounds are written out as four branch-free 20-round phases over a
+// 16-word rolling message schedule: every schedule index is a constant and
+// the working variables are renamed round to round rather than shifted.
+// Same arithmetic as FIPS 180-1, and the same round structure as the
+// multi-buffer kernels in sha_mb_kernels.inc.
+
+// Message word t: loaded for t < 16, else the next rolling-schedule word,
+// stored over the word it retires.
+#define SHA1_W(t)                                                         \
+  ((t) < 16 ? w[(t)]                                                      \
+            : (w[(t)&15] = std::rotl(w[((t)-3) & 15] ^ w[((t)-8) & 15] ^ \
+                                         w[((t)-14) & 15] ^ w[(t)&15],   \
+                                     1)))
+
+// One round: the new `a` lands in e's variable and rotl(b, 30) in b's, so
+// the next round passes the five variables rotated one place right.
+#define SHA1_R(a, b, c, d, e, fn, k, t)                          \
+  e += std::rotl((a), 5) + fn((b), (c), (d)) + (k) + SHA1_W(t); \
+  b = std::rotl((b), 30)
+
+#define SHA1_R5(t, fn, k)                \
+  SHA1_R(a, b, c, d, e, fn, k, (t));     \
+  SHA1_R(e, a, b, c, d, fn, k, (t) + 1); \
+  SHA1_R(d, e, a, b, c, fn, k, (t) + 2); \
+  SHA1_R(c, d, e, a, b, fn, k, (t) + 3); \
+  SHA1_R(b, c, d, e, a, fn, k, (t) + 4)
+
+#define SHA1_R20(t, fn, k)  \
+  SHA1_R5((t), fn, k);      \
+  SHA1_R5((t) + 5, fn, k);  \
+  SHA1_R5((t) + 10, fn, k); \
+  SHA1_R5((t) + 15, fn, k)
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 80; ++i) {
-    w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
                 e = state_[4];
 
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = std::rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
+  SHA1_R20(0, choose, 0x5A827999u);
+  SHA1_R20(20, parity, 0x6ED9EBA1u);
+  SHA1_R20(40, majority, 0x8F1BBCDCu);
+  SHA1_R20(60, parity, 0xCA62C1D6u);
 
   state_[0] += a;
   state_[1] += b;
@@ -64,6 +90,11 @@ void Sha1::process_block(const std::uint8_t* block) {
   state_[3] += d;
   state_[4] += e;
 }
+
+#undef SHA1_W
+#undef SHA1_R
+#undef SHA1_R5
+#undef SHA1_R20
 
 void Sha1::update(ByteView data) {
   total_bytes_ += data.size();
@@ -107,7 +138,9 @@ Sha1::Digest Sha1::finish() {
   update({len_be, 8});
 
   Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
+  for (std::size_t i = 0; i < 5; ++i) {
+    store_be32(out.data() + 4 * i, state_[i]);
+  }
   return out;
 }
 

@@ -24,7 +24,7 @@ using std::uint32_t;
 using std::uint64_t;
 using std::uint8_t;
 
-/// SHA-256 round constants (FIPS 180-4), shared by both lane widths.
+/// SHA-256 round constants (FIPS 180-4), shared by every kernel build.
 constexpr uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
@@ -84,7 +84,10 @@ constexpr uint8_t kZeroBlock[64] = {};
 #undef MB_STOREA
 #undef MB_BSWAP
 
-// ---- 8-lane AVX2 kernels --------------------------------------------------
+// ---- 8-lane kernels: AVX2, then the same body built for AVX-512VL --------
+// The AVX-512VL build keeps the 8 x 32-bit ymm lanes; only the encoding
+// changes: EVEX one-instruction rotates, vpternlogd for the three-input
+// boolean functions, and 32 vector registers for the rolling schedule.
 #define MB_ATTR __attribute__((target("avx2")))
 #define MB_LANES 8
 #define MB_VEC __m256i
@@ -104,6 +107,17 @@ constexpr uint8_t kZeroBlock[64] = {};
       (v), _mm256_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14,    \
                             13, 12, 3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8,    \
                             15, 14, 13, 12))
+#include "common/sha_mb_kernels.inc"  // NOLINT(bugprone-suspicious-include): X-macro body, included per lane width by design
+#undef MB_ATTR
+#undef MB_FN
+#define MB_ATTR __attribute__((target("avx2,avx512f,avx512vl")))
+#define MB_FN(x) x##_x8_avx512
+#define MB_ROTL(v, n) _mm256_rol_epi32((v), (n))
+#define MB_ROTR(v, n) _mm256_ror_epi32((v), (n))
+// vpternlogd truth tables over (x, y, z) = (0xf0, 0xcc, 0xaa).
+#define MB_XOR3(x, y, z) _mm256_ternarylogic_epi32((x), (y), (z), 0x96)
+#define MB_CH(x, y, z) _mm256_ternarylogic_epi32((x), (y), (z), 0xca)
+#define MB_MAJ(x, y, z) _mm256_ternarylogic_epi32((x), (y), (z), 0xe8)
 #include "common/sha_mb_kernels.inc"  // NOLINT(bugprone-suspicious-include): X-macro body, included per lane width by design
 #undef MB_ATTR
 #undef MB_LANES
@@ -211,10 +225,11 @@ void mb_drive(KernelFn kernel, const std::array<uint32_t, kWords>& init,
 
 #endif  // DEFRAG_SIMD_X86
 
-/// Clamp the requested level to what dispatch distinguishes here: the 8-lane
-/// AVX2 kernels also serve AVX-512 hosts (16-lane AVX-512 SHA would double
-/// lanes again, but fingerprinting stops being the bottleneck well before
-/// that — see DESIGN.md).
+/// Clamp the requested level to what this host supports. kAvx512 runs the
+/// 8-lane body EVEX-encoded rather than a 16-lane zmm kernel: in situ the
+/// wider kernel measured within noise of it end to end, and it would need a
+/// 16x16 transpose and leave more lanes idle when chunk lengths vary (see
+/// DESIGN.md §4.2).
 cpu::IsaLevel clamp_level(cpu::IsaLevel level) {
   if (static_cast<int>(level) > static_cast<int>(cpu::detected_isa_level())) {
     level = cpu::detected_isa_level();
@@ -229,7 +244,12 @@ void sha1_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
   if (n == 0) return;
   level = clamp_level(level);
 #if DEFRAG_SIMD_X86
-  if (n >= 2 && level >= cpu::IsaLevel::kAvx2) {
+  if (n >= 2 && level == cpu::IsaLevel::kAvx512) {
+    mb_drive<8, 5>(&sha1_blocks_x8_avx512, kSha1Init, data, n,
+                   out->data(), sizeof(Sha1::Digest));
+    return;
+  }
+  if (n >= 2 && level == cpu::IsaLevel::kAvx2) {
     mb_drive<8, 5>(&sha1_blocks_x8_avx2, kSha1Init, data, n, out->data(),
                    sizeof(Sha1::Digest));
     return;
@@ -248,7 +268,12 @@ void sha256_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
   if (n == 0) return;
   level = clamp_level(level);
 #if DEFRAG_SIMD_X86
-  if (n >= 2 && level >= cpu::IsaLevel::kAvx2) {
+  if (n >= 2 && level == cpu::IsaLevel::kAvx512) {
+    mb_drive<8, 8>(&sha256_blocks_x8_avx512, kSha256Init, data, n,
+                   out->data(), sizeof(Sha256::Digest));
+    return;
+  }
+  if (n >= 2 && level == cpu::IsaLevel::kAvx2) {
     mb_drive<8, 8>(&sha256_blocks_x8_avx2, kSha256Init, data, n, out->data(),
                    sizeof(Sha256::Digest));
     return;

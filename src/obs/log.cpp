@@ -37,7 +37,9 @@ std::string format_timestamp() {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  // Sized for every field at full int width, so GCC's -Wformat-truncation
+  // (which cannot bound the std::tm fields) has nothing to report.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "common/cpu.h"
@@ -72,6 +73,45 @@ TEST(ShaMbTest, Sha256MatchesScalarAtEveryLevel) {
     for (std::size_t i = 0; i < views.size(); ++i) {
       ASSERT_EQ(out[i], Sha256::hash(views[i]))
           << "level=" << cpu::isa_level_name(level) << " len=" << msgs[i].size();
+    }
+  }
+}
+
+/// Length of message i in an n-message batch: block counts from 0 to 131 in
+/// both padding regimes, shifted per batch size so that every lane group
+/// mixes short and long messages and its lanes finish on different blocks.
+std::size_t mixed_length(std::size_t n, std::size_t i) {
+  constexpr std::size_t kLens[] = {0,   1,   55,   56,   63,   64,  65,  119,
+                                   120, 128, 500,  1000, 4095, 4096, 8321};
+  return kLens[(7 * i + n) % std::size(kLens)] + i % 3;
+}
+
+TEST(ShaMbTest, EightLaneBuildsAgreeAtEveryBatchSize) {
+  // kAvx2 and kAvx512 run the same 8-lane body built two ways (VEX and
+  // EVEX); every batch size from 2 to 33 covers full groups, partial last
+  // groups and single-message tails. On hosts below AVX-512 the kAvx512
+  // request clamps down and the comparison still holds.
+  for (std::size_t n = 2; n <= 33; ++n) {
+    std::vector<Bytes> msgs;
+    for (std::size_t i = 0; i < n; ++i) {
+      msgs.push_back(testing::random_bytes(mixed_length(n, i), 100 * n + i));
+    }
+    const std::vector<ByteView> views = views_of(msgs);
+    std::vector<Sha1::Digest> sha1_avx2(n), sha1_avx512(n);
+    std::vector<Sha256::Digest> sha256_avx2(n), sha256_avx512(n);
+    simd::sha1_many_at(cpu::IsaLevel::kAvx2, views.data(), n, sha1_avx2.data());
+    simd::sha1_many_at(cpu::IsaLevel::kAvx512, views.data(), n,
+                       sha1_avx512.data());
+    simd::sha256_many_at(cpu::IsaLevel::kAvx2, views.data(), n,
+                         sha256_avx2.data());
+    simd::sha256_many_at(cpu::IsaLevel::kAvx512, views.data(), n,
+                         sha256_avx512.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(sha1_avx2[i], sha1_avx512[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(sha1_avx512[i], Sha1::hash(views[i])) << "n=" << n << " i=" << i;
+      ASSERT_EQ(sha256_avx2[i], sha256_avx512[i]) << "n=" << n << " i=" << i;
+      ASSERT_EQ(sha256_avx512[i], Sha256::hash(views[i]))
+          << "n=" << n << " i=" << i;
     }
   }
 }

@@ -39,7 +39,7 @@ int main() {
   };
 
   const std::vector<std::uint32_t> keep = {gens - 2, gens - 1, gens};
-  Compactor compactor(cfg.container_bytes);
+  Compactor compactor;
   ContainerStore fresh_store;
   RecipeStore fresh_recipes;
   DiskSim gc_sim(cfg.disk);

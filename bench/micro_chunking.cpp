@@ -75,7 +75,8 @@ void BM_GearChunking(benchmark::State& state) {
 BENCHMARK(BM_GearChunking)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The full gear split with the dispatch pinned to one ISA level —
-/// scalar-vs-SIMD on the same data, one series per level the host has.
+/// scalar-vs-SIMD on the same data: level 0 (scalar) and level 3 (AVX-512,
+/// the only level with a gear kernel of its own).
 void BM_GearChunkingAtLevel(benchmark::State& state) {
   const auto level = static_cast<cpu::IsaLevel>(state.range(0));
   if (level > cpu::detected_isa_level()) {
@@ -94,7 +95,7 @@ void BM_GearChunkingAtLevel(benchmark::State& state) {
   state.SetLabel(cpu::isa_level_name(level));
 }
 BENCHMARK(BM_GearChunkingAtLevel)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Arg(0)->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 /// The raw boundary-scan kernel per ISA level, without the chunker loop
@@ -120,7 +121,7 @@ void BM_GearScanKernel(benchmark::State& state) {
   state.SetLabel(cpu::isa_level_name(level));
 }
 BENCHMARK(BM_GearScanKernel)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Arg(0)->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 /// Incremental split_to (the sink-callback path every engine actually uses;

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               before_scrub.clean() ? "clean" : "CORRUPT");
 
   // Retire everything but the last `keep` generations.
-  Compactor compactor(cfg.container_bytes);
+  Compactor compactor;
   ContainerStore fresh_store;
   RecipeStore fresh_recipes;
   DiskSim gc_sim(cfg.disk);

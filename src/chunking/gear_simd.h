@@ -12,13 +12,11 @@
 // oracle enforce this, which is what makes the ISA level a pure performance
 // knob.
 //
-// Honest performance note (measured, documented in DESIGN.md): the exact
-// gear recurrence is bound by its per-byte table load on every x86
-// formulation tried — block scans, prefix scans and gathers all land within
-// ~±15% of the scalar loop. The AVX-512 gather+prefix kernel is the only
-// one measured ahead (~1.1×); the SSE4.1/AVX2 block kernels exist to make
-// the dispatch ladder complete and differentially testable on narrower
-// hardware. The large SIMD win in this substrate is multi-buffer
+// Two kernels exist: the scalar loop and an AVX-512 gather+prefix kernel.
+// The exact gear recurrence is bound by its per-byte table load on every x86
+// formulation tried (DESIGN.md §4.2): SSE4.1 and AVX2 block kernels measured
+// at 0.55–0.8× scalar, so those levels run the scalar loop; only the AVX-512
+// kernel measured ahead (~1.1–1.3×). The large SIMD win in this substrate is multi-buffer
 // fingerprinting (common/sha_mb.h).
 #pragma once
 
@@ -45,14 +43,13 @@ std::size_t gear_scan_scalar(const std::uint8_t* data, std::size_t pos,
                              std::size_t end, std::uint64_t mask,
                              std::uint64_t& h, const std::uint64_t* table);
 
-/// The kernel compiled for exactly `level` (clamped down to the widest one
-/// this build supports — non-x86 builds only have the scalar kernel). Meant
-/// for differential tests and benches that sweep levels explicitly.
+/// The kernel for `level`: the AVX-512 kernel at kAvx512 (x86 builds), the
+/// scalar loop at every lower level. Differential tests and benches sweep
+/// levels through it.
 GearScanFn gear_scan_for(cpu::IsaLevel level);
 
-/// The kernel production dispatch uses for cpu::active_isa_level(): wide
-/// kernels where they measure at or above scalar, the scalar loop elsewhere.
-/// Also publishes the `system.cpu.isa_level` gauge on first call.
+/// gear_scan_for(cpu::active_isa_level()). Also publishes the
+/// `system.cpu.isa_level` gauge on first call.
 GearScanFn active_gear_scan();
 
 /// Account bytes scanned through a non-scalar kernel into the

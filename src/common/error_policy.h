@@ -41,8 +41,6 @@
 //                                          std::invalid_argument.
 //   ParallelForError  common    common     aggregate of task exceptions,
 //                                          rethrown by parallel_for.
-//   MetricsParseError obs       obs        defrag.metrics.v1 snapshot
-//                                          parse failure.
 //   WireError         service   service    malformed/oversized frame or
 //                                          protocol violation from a peer.
 //   SocketError       service   service    errno-carrying socket failure.
@@ -98,7 +96,6 @@ inline constexpr ErrorClass kCheckFailure{"CheckFailure", "common", "*"};
 inline constexpr ErrorClass kFailpointError{"FailpointError", "common", "*"};
 inline constexpr ErrorClass kInputError{"InputError", "common", "common"};
 inline constexpr ErrorClass kParallelForError{"ParallelForError", "common", "common"};
-inline constexpr ErrorClass kMetricsParseError{"MetricsParseError", "obs", "obs"};
 inline constexpr ErrorClass kWireError{"WireError", "service", "service"};
 inline constexpr ErrorClass kSocketError{"SocketError", "service", "service"};
 inline constexpr ErrorClass kRejectedError{"RejectedError", "service", "service"};

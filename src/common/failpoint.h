@@ -7,11 +7,11 @@
 // certifies on paper are also *executed* paths, under TSan/ASan, in ctest.
 //
 //   // in production code (function top, before any mutation):
-//   DEFRAG_FAILPOINT("store.serial_seal");
+//   DEFRAG_FAILPOINT("store.stream_seal");
 //
 //   // in a test:
-//   failpoint::arm("store.serial_seal", failpoint::Action::kThrow);
-//   EXPECT_THROW(store.flush(), FailpointError);
+//   failpoint::arm("store.stream_seal", failpoint::Action::kThrow);
+//   EXPECT_THROW(appender.close(), FailpointError);
 //
 //   // from the environment (smoke scripts, CI fault-injection pass):
 //   DEFRAG_FAILPOINTS="store.stream_seal:throw,index.insert:check:2"

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
 
@@ -44,6 +45,9 @@ BackupResult CbrEngine::backup(std::uint32_t generation, ByteView stream) {
   const auto budget_bytes = static_cast<std::uint64_t>(
       static_cast<double>(stream.size()) * params_.rewrite_budget);
   std::uint64_t rewritten_so_far = 0;
+  // Read before the first append: the appender allocates lazily, so every
+  // container this backup creates has an ID at or above this count.
+  ContainerStore::StreamAppender out = store_.open_stream();
   const auto first_container_this_gen =
       static_cast<ContainerId>(store_.container_count());
 
@@ -105,7 +109,7 @@ BackupResult CbrEngine::backup(std::uint32_t generation, ByteView stream) {
         continue;
       }
       if (!v.hit) {
-        const ChunkLocation loc = store_chunk(c, stream, seg_id, sim);
+        const ChunkLocation loc = store_chunk(out, c, stream, seg_id, sim);
         recipe.add(c.fp, loc);
         resolved.emplace(c.fp, loc);
         res.unique_bytes += c.size;
@@ -115,7 +119,7 @@ BackupResult CbrEngine::backup(std::uint32_t generation, ByteView stream) {
                                 rewritten_so_far + c.size <= budget_bytes;
       if (want_rewrite) {
         const ByteView data = stream.subspan(c.stream_offset, c.size);
-        const ChunkLocation loc = store_.append(c.fp, data, seg_id, sim);
+        const ChunkLocation loc = out.append(c.fp, data, seg_id, sim);
         index_.update(c.fp, IndexValue{loc, seg_id}, sim);
         recipe.add(c.fp, loc);
         resolved.emplace(c.fp, loc);
@@ -128,7 +132,7 @@ BackupResult CbrEngine::backup(std::uint32_t generation, ByteView stream) {
       }
     }
   }
-  store_.flush();
+  out.close();
 
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();

@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
 
@@ -75,7 +76,9 @@ BackupResult DefragEngine::backup(std::uint32_t generation, ByteView stream) {
 
   // Containers created by this very backup hold chunks that are already
   // co-located with the incoming stream; duplicates resolving there are
-  // kept regardless of SPL (rewriting them buys no locality).
+  // kept regardless of SPL (rewriting them buys no locality). Read before
+  // the first append: the appender allocates lazily.
+  ContainerStore::StreamAppender out = store_.open_stream();
   const auto first_container_this_gen =
       static_cast<ContainerId>(store_.container_count());
 
@@ -142,7 +145,7 @@ BackupResult DefragEngine::backup(std::uint32_t generation, ByteView stream) {
 
       switch (v.kind) {
         case Verdict::Kind::kNew: {
-          const ChunkLocation loc = store_chunk(c, stream, seg_id, sim);
+          const ChunkLocation loc = store_chunk(out, c, stream, seg_id, sim);
           recipe.add(c.fp, loc);
           resolved.emplace(c.fp, loc);
           res.unique_bytes += c.size;
@@ -154,7 +157,7 @@ BackupResult DefragEngine::backup(std::uint32_t generation, ByteView stream) {
             // a sliver of the segment. Rewrite the chunk next to its stream
             // neighbours and repoint the index at the better-located copy.
             const ByteView data = stream.subspan(c.stream_offset, c.size);
-            const ChunkLocation loc = store_.append(c.fp, data, seg_id, sim);
+            const ChunkLocation loc = out.append(c.fp, data, seg_id, sim);
             index_.update(c.fp, IndexValue{loc, seg_id}, sim);
             recipe.add(c.fp, loc);
             resolved.emplace(c.fp, loc);
@@ -177,7 +180,7 @@ BackupResult DefragEngine::backup(std::uint32_t generation, ByteView stream) {
       }
     }
   }
-  store_.flush();
+  out.close();
 
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
 
@@ -49,11 +50,12 @@ std::optional<IndexValue> DdfsEngine::classify(const StreamChunk& chunk,
   return hit;
 }
 
-ChunkLocation DdfsEngine::store_chunk(const StreamChunk& chunk,
+ChunkLocation DdfsEngine::store_chunk(ContainerStore::StreamAppender& out,
+                                      const StreamChunk& chunk,
                                       ByteView stream, SegmentId segment,
                                       DiskSim& sim) {
   const ByteView data = stream.subspan(chunk.stream_offset, chunk.size);
-  const ChunkLocation loc = store_.append(chunk.fp, data, segment, sim);
+  const ChunkLocation loc = out.append(chunk.fp, data, segment, sim);
   bloom_.insert(chunk.fp);
   index_.insert(chunk.fp, IndexValue{loc, segment}, sim);
   return loc;
@@ -85,6 +87,7 @@ BackupResult DdfsEngine::backup(std::uint32_t generation, ByteView stream) {
   res.segment_count = segments.size();
 
   Recipe& recipe = recipes_.create(generation, name());
+  ContainerStore::StreamAppender out = store_.open_stream();
 
   for (const SegmentRef& seg : segments) {
     const SegmentId seg_id = allocate_segment_id();
@@ -101,13 +104,13 @@ BackupResult DdfsEngine::backup(std::uint32_t generation, ByteView stream) {
       } else {
         // DDFS is exact: classify() only misses when the chunk is truly new.
         DEFRAG_CHECK_MSG(!truly_dup, "exact engine missed a duplicate");
-        const ChunkLocation loc = store_chunk(c, stream, seg_id, sim);
+        const ChunkLocation loc = store_chunk(out, c, stream, seg_id, sim);
         recipe.add(c.fp, loc);
         res.unique_bytes += c.size;
       }
     }
   }
-  store_.flush();
+  out.close();
 
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();

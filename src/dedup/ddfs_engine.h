@@ -25,6 +25,7 @@
 #include "index/bloom_filter.h"
 #include "index/paged_index.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 
 namespace defrag {
@@ -47,8 +48,10 @@ class DdfsEngine : public EngineBase {
   /// rewrite decision on this exact machinery).
   std::optional<IndexValue> classify(const StreamChunk& chunk, DiskSim& sim);
 
-  /// Write a chunk as new data and publish it in bloom + index.
-  ChunkLocation store_chunk(const StreamChunk& chunk, ByteView stream,
+  /// Write a chunk as new data through the backup's appender and publish
+  /// it in bloom + index.
+  ChunkLocation store_chunk(ContainerStore::StreamAppender& out,
+                            const StreamChunk& chunk, ByteView stream,
                             SegmentId segment, DiskSim& sim);
 
   /// Publish cumulative lookup-path state (metadata-cache hit/miss totals,

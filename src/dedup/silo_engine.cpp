@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
 
@@ -103,6 +104,7 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
   decisions_ = SiloDecisionStats{};
 
   Recipe& recipe = recipes_.create(generation, name());
+  ContainerStore::StreamAppender out = store_.open_stream();
 
   for (const SegmentRef& seg : segments) {
     const SegmentId seg_id = allocate_segment_id();
@@ -154,7 +156,7 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
         if (!any_rep_hit) ++decisions_.rescued_chunks;
       } else {
         const ByteView data = stream.subspan(c.stream_offset, c.size);
-        loc = store_.append(c.fp, data, seg_id, sim);
+        loc = out.append(c.fp, data, seg_id, sim);
         if (truly_dup) {
           res.missed_dup_bytes += c.size;  // near-exact: a dup slipped by
         } else {
@@ -176,7 +178,7 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
     }
   }
   seal_open_block();
-  store_.flush();
+  out.close();
 
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();

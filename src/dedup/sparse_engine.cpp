@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
+#include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
 
@@ -73,6 +74,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
   res.segment_count = segments.size();
 
   Recipe& recipe = recipes_.create(generation, name());
+  ContainerStore::StreamAppender out = store_.open_stream();
 
   for (const SegmentRef& seg : segments) {
     const SegmentId seg_id = allocate_segment_id();
@@ -108,7 +110,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
         res.removed_bytes += c.size;
       } else {
         const ByteView data = stream.subspan(c.stream_offset, c.size);
-        loc = store_.append(c.fp, data, seg_id, sim);
+        loc = out.append(c.fp, data, seg_id, sim);
         if (truly_dup) {
           res.missed_dup_bytes += c.size;
         } else {
@@ -140,7 +142,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
     // Manifest writes are sequential log appends.
     sim.write_behind(manifests_.at(seg_id).metadata_bytes());
   }
-  store_.flush();
+  out.close();
 
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();

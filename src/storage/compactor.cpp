@@ -41,7 +41,9 @@ CompactionResult Compactor::compact(
   CompactionResult res;
   res.containers_before = store.container_count();
 
-  *new_store = ContainerStore(container_bytes_);
+  *new_store =
+      ContainerStore(store.container_capacity(), store.compress_on_seal());
+  ContainerStore::StreamAppender out = new_store->open_stream();
 
   // Copy order: the newest retained recipe's walk first (re-linearizes the
   // most restore-relevant generation), then older recipes' residual chunks.
@@ -61,8 +63,7 @@ CompactionResult Compactor::compact(
       // the transfer, and one seek per source-container switch below).
       const ByteView data = store.peek(e.location.container).read(e.location);
       sim.read(data.size());
-      const ChunkLocation loc =
-          new_store->append(e.fp, data, next_segment, sim);
+      const ChunkLocation loc = out.append(e.fp, data, next_segment, sim);
       // Offline GC has no foreground ingest to hide behind: unlike the
       // engines' write-behind appends, the copy's sequential write blocks
       // the sweep. append() already counted the bytes; charge the time.
@@ -79,7 +80,7 @@ CompactionResult Compactor::compact(
   for (const auto& [old_loc, _] : relocation) sources.insert(old_loc.container);
   for (std::size_t i = 0; i < sources.size(); ++i) sim.seek();
 
-  new_store->flush();
+  out.close();
   res.containers_after = new_store->container_count();
   res.dead_bytes = store.total_data_bytes() - res.live_bytes;
 

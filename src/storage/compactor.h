@@ -48,22 +48,17 @@ struct CompactionResult {
 
 class Compactor {
  public:
-  /// New containers are created with this capacity.
-  explicit Compactor(std::uint64_t container_bytes = 4ull << 20)
-      : container_bytes_(container_bytes) {}
-
   /// Compact `store` down to the chunks referenced by the recipes of
   /// `keep_generations` (must be sorted ascending, newest last). Live data
   /// is read container-by-container and written sequentially; both sides
-  /// are charged to `sim`. Outputs a fresh store and the remapped recipes.
+  /// are charged to `sim`. Outputs a fresh store — with the source's
+  /// container capacity and compress-on-seal setting — and the remapped
+  /// recipes.
   CompactionResult compact(const ContainerStore& store,
                            const RecipeStore& recipes,
                            const std::vector<std::uint32_t>& keep_generations,
                            ContainerStore* new_store, RecipeStore* new_recipes,
                            DiskSim& sim) const;
-
- private:
-  std::uint64_t container_bytes_;
 };
 
 }  // namespace defrag

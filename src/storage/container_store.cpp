@@ -36,13 +36,11 @@ ContainerStore::ContainerStore(ContainerStore&& other) noexcept
       compress_on_seal_(other.compress_on_seal_),
       containers_(std::move(other.containers_)),
       seal_published_(std::move(other.seal_published_)),
-      stream_mode_(other.stream_mode_),
       active_appenders_(other.active_appenders_),
       obs_(other.obs_) {
   DEFRAG_DCHECK(active_appenders_ == 0);
   other.containers_.clear();
   other.seal_published_.clear();
-  other.stream_mode_ = false;
 }
 
 ContainerStore& ContainerStore::operator=(ContainerStore&& other) noexcept {
@@ -52,67 +50,14 @@ ContainerStore& ContainerStore::operator=(ContainerStore&& other) noexcept {
   compress_on_seal_ = other.compress_on_seal_;
   containers_ = std::move(other.containers_);
   seal_published_ = std::move(other.seal_published_);
-  stream_mode_ = other.stream_mode_;
   obs_ = other.obs_;
   other.containers_.clear();
   other.seal_published_.clear();
-  other.stream_mode_ = false;
   return *this;
-}
-
-Container& ContainerStore::writable() {
-  if (containers_.empty() || containers_.back()->sealed()) {
-    containers_.push_back(std::make_unique<Container>(
-        static_cast<ContainerId>(containers_.size()), capacity_));
-    seal_published_.push_back(false);
-  }
-  return *containers_.back();
-}
-
-ChunkLocation ContainerStore::append(const Fingerprint& fp, ByteView data,
-                                     SegmentId segment, DiskSim& sim) {
-  DEFRAG_CHECK_MSG(data.size() <= capacity_,
-                   "chunk larger than container capacity");
-  DEFRAG_FAILPOINT("store.serial_append");
-  MutexLock lock(mu_);
-  DEFRAG_CHECK_MSG(!stream_mode_,
-                   "serial append() on a store with open_stream() appenders");
-  Container* c = &writable();
-  if (!c->fits(static_cast<std::uint32_t>(data.size()))) {
-    c->seal(compress_on_seal_);
-    publish_seal_locked(c->id());
-    obs_.seals->add(1);
-    c = &writable();
-  }
-  // Container writes are sequential at the log head and flushed write-behind;
-  // the metadata section is written alongside the data, so count both.
-  sim.write_behind(data.size() + kContainerEntryBytes);
-  obs_.appends->add(1);
-  obs_.bytes_appended->add(data.size());
-  return c->append(fp, data, segment);
-}
-
-void ContainerStore::flush() {
-  DEFRAG_FAILPOINT("store.serial_seal");
-  MutexLock lock(mu_);
-  DEFRAG_CHECK_MSG(!stream_mode_,
-                   "serial flush() on a store with open_stream() appenders");
-  if (containers_.empty() || containers_.back()->sealed()) return;
-  containers_.back()->seal(compress_on_seal_);
-  publish_seal_locked(containers_.back()->id());
-  obs_.seals->add(1);
 }
 
 ContainerStore::StreamAppender ContainerStore::open_stream() {
   MutexLock lock(mu_);
-  // Entering stream mode seals any serial-path open container first, so the
-  // appenders never share a tail with the serial writer.
-  if (!stream_mode_ && !containers_.empty() && !containers_.back()->sealed()) {
-    containers_.back()->seal(compress_on_seal_);
-    publish_seal_locked(containers_.back()->id());
-    obs_.seals->add(1);
-  }
-  stream_mode_ = true;
   ++active_appenders_;
   return StreamAppender(this);
 }
@@ -125,20 +70,19 @@ Container* ContainerStore::allocate_container() {
   return containers_.back().get();
 }
 
-void ContainerStore::publish_seal_locked(ContainerId id) {
-  DEFRAG_CHECK_MSG(id < seal_published_.size(), "publishing unknown container");
-  seal_published_[id] = true;
+void ContainerStore::seal_and_publish(Container& c) {
+  c.seal(compress_on_seal_);
+  obs_.seals->add(1);
+  MutexLock lock(mu_);
+  DEFRAG_CHECK_MSG(c.id() < seal_published_.size(),
+                   "publishing unknown container");
+  seal_published_[c.id()] = true;
   // Tagged with the requesting session's rid (RequestScope), this instant
   // places each container seal on the request's trace track — the deepest
   // point the service's request context reaches. Lock order fine: trace(40)
   // above container_store(10).
   obs::TraceRecorder::global().record_instant("store.seal", "storage");
   seal_cv_.notify_all();
-}
-
-void ContainerStore::publish_seal(ContainerId id) {
-  MutexLock lock(mu_);
-  publish_seal_locked(id);
 }
 
 bool ContainerStore::sealed_visible(ContainerId id) const {
@@ -182,10 +126,7 @@ ChunkLocation ContainerStore::StreamAppender::append(const Fingerprint& fp,
   // The open container is exclusively ours until sealed, so appends run
   // lock-free; only rolling to a fresh container touches the store.
   if (open_ != nullptr && !open_->fits(static_cast<std::uint32_t>(data.size()))) {
-    open_->seal(store_->compress_on_seal_);
-    store_->publish_seal(open_->id());
-    store_->obs_.seals->add(1);
-    open_ = nullptr;
+    store_->seal_and_publish(*std::exchange(open_, nullptr));
   }
   if (open_ == nullptr) open_ = store_->allocate_container();
   sim.write_behind(data.size() + kContainerEntryBytes);
@@ -206,12 +147,7 @@ void ContainerStore::StreamAppender::close() {
 
 void ContainerStore::StreamAppender::finish() noexcept {
   if (store_ == nullptr) return;
-  if (open_ != nullptr) {
-    open_->seal(store_->compress_on_seal_);
-    store_->publish_seal(open_->id());
-    store_->obs_.seals->add(1);
-    open_ = nullptr;
-  }
+  if (open_ != nullptr) store_->seal_and_publish(*std::exchange(open_, nullptr));
   store_->appender_closed();
   store_ = nullptr;
 }
@@ -245,14 +181,6 @@ const std::vector<ContainerEntry>& ContainerStore::load_metadata(
 
 const Container& ContainerStore::peek(ContainerId id) const {
   return container_at(id);
-}
-
-ContainerId ContainerStore::open_container() const {
-  MutexLock lock(mu_);
-  if (stream_mode_ || containers_.empty() || containers_.back()->sealed()) {
-    return kInvalidContainer;
-  }
-  return containers_.back()->id();
 }
 
 std::size_t ContainerStore::container_count() const {

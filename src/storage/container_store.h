@@ -5,33 +5,31 @@
 // load whole containers or just their metadata sections, each costing one
 // seek plus the transfer.
 //
-// Thread safety: the store's shared state (the container table and the
-// serial open container) is guarded by an internal Mutex, so the serial
-// API may be called from any single thread and the *concurrent* append
-// path below is safe from many.
+// Every write goes through a StreamAppender opened with open_stream(): an
+// engine's backup, a compaction sweep and each concurrent ingest stream
+// alike. An appender owns a private open container and appends to it
+// without touching the store lock; only rolling to a fresh container (and
+// close()) takes the store's internal Mutex to register the new container
+// or publish its seal. This preserves the paper's sequential-placement
+// invariant *per stream*: one stream's chunks land back-to-back in that
+// stream's containers, so SPL/rewrite decisions computed over a stream's
+// containers do not depend on how many streams write at once. Container
+// IDs interleave across concurrent streams (allocation order), which is
+// irrelevant to locality — locality is within-container. An appender
+// allocates its first container on its first append, so with one writer
+// container_count() read after open_stream() is the lowest ID this stream
+// can receive (how the engines tell this backup's containers apart).
 //
-// Concurrent appends — StreamAppender: each ingest stream opens its own
-// appender via open_stream(). An appender owns a private open container
-// and appends to it without touching the store lock; only rolling to a
-// fresh container (and close()) takes the Mutex to register the new
-// container in the shared table. This preserves the paper's sequential-
-// placement invariant *per stream*: one stream's chunks land back-to-back
-// in that stream's containers, exactly as a serial ingest would place
-// them, so SPL/rewrite decisions computed over a stream's containers are
-// unchanged. Container IDs interleave across streams (allocation order),
-// which is irrelevant to locality — locality is within-container.
-//
-// Mixing rules (checked): once open_stream() has been called, the serial
-// append()/flush()/open_container() path is disabled (they operate on the
-// table's tail, which appenders invalidate). Accounting that reads
-// container payloads (total_*_bytes) requires quiescence — close every
-// appender first; this is DCHECKed. Readers may load/peek sealed
-// containers concurrently with other streams' appends only if the
-// container's seal happened-before the read (join the writer, or observe
-// its close()) — or by going through wait_sealed()/load_sealed(), which
-// block until the seal is *published* under the store mutex and are
-// therefore safe from any thread at any time (the concurrent-restore path
-// of the service daemon).
+// Accounting that reads container payloads (total_*_bytes) requires
+// quiescence — close every appender first; this is DCHECKed. Readers may
+// load/peek sealed containers concurrently with other streams' appends
+// only if the container's seal happened-before the read (join the writer,
+// or observe its close()) — or by going through wait_sealed()/
+// load_sealed(), which block until the seal is *published* under the
+// store mutex and are therefore safe from any thread at any time (the
+// concurrent-restore path of the service daemon). The appending thread
+// itself may read its own open container (an engine's intra-backup
+// duplicates resolve there).
 //
 // The ObsHandles counters are process-wide relaxed atomics (see
 // obs/metrics.h) and safe from any thread.
@@ -99,19 +97,9 @@ class ContainerStore {
     Container* open_ = nullptr;  // exclusively owned until sealed
   };
 
-  /// Open a concurrent append handle. Disables the serial append path for
-  /// the store's remaining lifetime (checked).
+  /// Open an append handle: the store's only write path. Allocates nothing
+  /// until the first append.
   StreamAppender open_stream();
-
-  /// Append a chunk to the open container, sealing/rolling as needed.
-  /// Charges the sequential data write to `sim`. Returns the chunk location.
-  /// Serial path only — incompatible with open_stream() (checked).
-  ChunkLocation append(const Fingerprint& fp, ByteView data, SegmentId segment,
-                       DiskSim& sim);
-
-  /// Seal the open container (end of a backup stream). Charges nothing: the
-  /// data was already charged on append. Serial path only.
-  void flush();
 
   /// Load a container for data access (restore path): one seek + full
   /// container transfer.
@@ -141,9 +129,6 @@ class ContainerStore {
   /// Direct in-memory access without I/O charging (tests, accounting).
   const Container& peek(ContainerId id) const;
 
-  /// Container currently open for serial appends, or kInvalidContainer.
-  ContainerId open_container() const;
-
   std::size_t container_count() const;
   std::uint64_t container_capacity() const { return capacity_; }
 
@@ -158,23 +143,16 @@ class ContainerStore {
   bool compress_on_seal() const { return compress_on_seal_; }
 
  private:
-  /// Serial-path open container, creating one as needed.
-  Container& writable() DEFRAG_REQUIRES(mu_);
-
   /// Register and return a fresh container for an appender.
   Container* allocate_container() DEFRAG_EXCLUDES(mu_);
 
   /// Appender bookkeeping around close().
   void appender_closed() DEFRAG_EXCLUDES(mu_);
 
-  /// Record that `id` sealed while mu_ was held (serial path) and wake
-  /// wait_sealed() waiters.
-  void publish_seal_locked(ContainerId id) DEFRAG_REQUIRES(mu_);
-
-  /// Publish a seal performed off-lock (StreamAppender roll/close): takes
-  /// mu_, which is what gives readers the happens-before edge with the
-  /// sealing writes.
-  void publish_seal(ContainerId id) DEFRAG_EXCLUDES(mu_);
+  /// Seal an appender's container off-lock, then publish the seal under
+  /// mu_ (the happens-before edge readers rely on) and wake wait_sealed()
+  /// waiters.
+  void seal_and_publish(Container& c) DEFRAG_EXCLUDES(mu_);
 
   const Container& container_at(ContainerId id) const DEFRAG_EXCLUDES(mu_);
 
@@ -188,11 +166,9 @@ class ContainerStore {
   // Store-side seal publication, parallel to containers_. StreamAppenders
   // seal their private container off-lock; readers must never touch a
   // container's own state concurrently, so seals become *visible* only via
-  // this vector, written under mu_ (serial-path seal sites already hold it;
-  // appenders publish through publish_seal()).
+  // this vector, written under mu_ by seal_and_publish().
   std::vector<bool> seal_published_ DEFRAG_GUARDED_BY(mu_);
   mutable CondVar seal_cv_;
-  bool stream_mode_ DEFRAG_GUARDED_BY(mu_) = false;
   std::size_t active_appenders_ DEFRAG_GUARDED_BY(mu_) = 0;
 
   // Hot-path handles into the process-wide registry ("storage.container.*"),

@@ -17,12 +17,13 @@ namespace {
 using simd::GearScanFn;
 using simd::kNoBoundary;
 
+/// The levels with a kernel of their own (below kAvx512 every level runs the
+/// scalar loop), filtered to what this host supports.
 const std::vector<cpu::IsaLevel>& wide_levels() {
   static const std::vector<cpu::IsaLevel> levels = [] {
     std::vector<cpu::IsaLevel> out;
-    for (cpu::IsaLevel level : {cpu::IsaLevel::kSse41, cpu::IsaLevel::kAvx2,
-                                cpu::IsaLevel::kAvx512}) {
-      if (level <= cpu::detected_isa_level()) out.push_back(level);
+    if (cpu::detected_isa_level() >= cpu::IsaLevel::kAvx512) {
+      out.push_back(cpu::IsaLevel::kAvx512);
     }
     return out;
   }();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/sha256.h"
 #include "dedup/ddfs_engine.h"
 #include "testing/data.h"
@@ -151,6 +152,28 @@ TEST(DefragEngineTest, RestoreLosslessEvenWithRewrites) {
   engine.restore(2, &r2);
   EXPECT_EQ(Sha256::hash(r1), Sha256::hash(s1));
   EXPECT_EQ(Sha256::hash(r2), Sha256::hash(s2));
+}
+
+TEST(DefragEngineTest, SealFaultAtBackupEndLeavesStoreUsable) {
+  DefragEngine engine(testing::small_engine_config());
+  const Bytes stream = testing::random_bytes(1 << 20, 151);
+
+  // The backup's close() fails; unwinding destroys its appender, which
+  // seals the open container through the non-injectable cleanup path.
+  failpoint::arm("store.stream_seal", failpoint::Action::kThrow);
+  EXPECT_THROW(engine.backup(1, stream), failpoint::FailpointError);
+  const ContainerStore& store = engine.container_store();
+  ASSERT_GT(store.container_count(), 0u);
+  const auto last = static_cast<ContainerId>(store.container_count() - 1);
+  EXPECT_TRUE(store.peek(last).sealed());
+  EXPECT_TRUE(store.sealed_visible(last));
+
+  // The next backup of the same stream dedups against what the failed one
+  // placed and restores bit-identically.
+  engine.backup(2, stream);
+  Bytes restored;
+  engine.restore(2, &restored);
+  EXPECT_EQ(Sha256::hash(restored), Sha256::hash(stream));
 }
 
 TEST(DefragEngineTest, CompressionCostIsBounded) {

@@ -34,12 +34,13 @@ TEST(IntegrityTest, DetectsFingerprintMismatch) {
   const Bytes evil = testing::random_bytes(4096, 203);
 
   Recipe& recipe = recipes.create(1, "tampered");
+  auto out = store.open_stream();
   recipe.add(Fingerprint::of(good),
-             store.append(Fingerprint::of(good), good, 0, sim));
+             out.append(Fingerprint::of(good), good, 0, sim));
   // Stored `evil` bytes but recorded `good`'s fingerprint.
   recipe.add(Fingerprint::of(good),
-             store.append(Fingerprint::of(good), evil, 0, sim));
-  store.flush();
+             out.append(Fingerprint::of(good), evil, 0, sim));
+  out.close();
 
   const IntegrityReport r = scrub(store, recipes, {1});
   ASSERT_EQ(r.violations.size(), 1u);
@@ -53,8 +54,9 @@ TEST(IntegrityTest, DetectsUnresolvableLocation) {
   RecipeStore recipes;
   DiskSim sim;
   const Bytes data = testing::random_bytes(1024, 204);
-  store.append(Fingerprint::of(data), data, 0, sim);
-  store.flush();
+  auto out = store.open_stream();
+  out.append(Fingerprint::of(data), data, 0, sim);
+  out.close();
 
   Recipe& recipe = recipes.create(1, "dangling");
   recipe.add(Fingerprint::of(data), ChunkLocation{99, 0, 1024});
@@ -69,8 +71,9 @@ TEST(IntegrityTest, DetectsOutOfBoundsExtent) {
   RecipeStore recipes;
   DiskSim sim;
   const Bytes data = testing::random_bytes(1024, 205);
-  const ChunkLocation loc = store.append(Fingerprint::of(data), data, 0, sim);
-  store.flush();
+  auto out = store.open_stream();
+  const ChunkLocation loc = out.append(Fingerprint::of(data), data, 0, sim);
+  out.close();
 
   Recipe& recipe = recipes.create(1, "overlong");
   ChunkLocation bad = loc;

@@ -2,7 +2,7 @@
 // (tools/throw_graph_lint.py enforces this pairing), proving the error
 // paths the throw-graph analyzer certifies statically are also *executed*
 // paths. Three layers:
-//   - substrate-direct: store/index/persist sites injected through their
+//   - substrate-direct: store/index sites injected through their
 //     public APIs, asserting the typed FailpointError surfaces and the
 //     object survives for a clean retry;
 //   - wire: frame send/recv sites injected on a socketpair, no server;
@@ -29,14 +29,12 @@
 #include "index/sharded_index.h"
 #include "obs/metrics.h"
 #include "service/client.h"
-#include "service/persist.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/socket.h"
 #include "service/wire.h"
 #include "storage/container_store.h"
 #include "storage/disk_model.h"
-#include "storage/recipe.h"
 #include "testing/data.h"
 
 namespace defrag::service {
@@ -102,35 +100,43 @@ class FaultInjectionTest : public ::testing::Test {
 
 // ---- substrate-direct injections ------------------------------------------
 
-TEST_F(FaultInjectionTest, SerialAppendFaultIsTypedAndRetryable) {
+TEST_F(FaultInjectionTest, StreamAppendFaultIsTypedAndRetryable) {
   ContainerStore store;
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(4096, 9001);
-  failpoint::arm("store.serial_append", Action::kThrow);
-  EXPECT_THROW(store.append(Fingerprint::of(chunk), chunk, 0, sim),
+  failpoint::arm("store.stream_append", Action::kThrow);
+  EXPECT_THROW(out.append(Fingerprint::of(chunk), chunk, 0, sim),
                FailpointError);
   // The site fires before any mutation: the retry lands cleanly.
-  EXPECT_NO_THROW(store.append(Fingerprint::of(chunk), chunk, 0, sim));
+  EXPECT_NO_THROW(out.append(Fingerprint::of(chunk), chunk, 0, sim));
   EXPECT_EQ(store.container_count(), 1u);
+  EXPECT_EQ(store.peek(0).entries().size(), 1u);
 }
 
-TEST_F(FaultInjectionTest, SerialSealFaultIsTypedAndRetryable) {
+TEST_F(FaultInjectionTest, StreamSealFaultIsTypedAndRetryable) {
   ContainerStore store;
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(4096, 9002);
-  store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  failpoint::arm("store.serial_seal", Action::kThrow);
-  EXPECT_THROW(store.flush(), FailpointError);
-  EXPECT_NO_THROW(store.flush());
+  out.append(Fingerprint::of(chunk), chunk, 0, sim);
+  failpoint::arm("store.stream_seal", Action::kThrow);
+  EXPECT_THROW(out.close(), FailpointError);
+  // The fault left the appender open: nothing sealed, and it still appends.
+  EXPECT_FALSE(store.sealed_visible(0));
+  EXPECT_NO_THROW(out.append(Fingerprint::of(chunk), chunk, 0, sim));
+  EXPECT_NO_THROW(out.close());
   EXPECT_TRUE(store.peek(0).sealed());
+  EXPECT_EQ(store.total_data_bytes(), 2u * chunk.size());
 }
 
 TEST_F(FaultInjectionTest, StoreLoadFaultIsTypedAndRetryable) {
   ContainerStore store;
   DiskSim sim;
   const Bytes chunk = testing::random_bytes(4096, 9003);
-  const ChunkLocation loc = store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  store.flush();
+  auto out = store.open_stream();
+  const ChunkLocation loc = out.append(Fingerprint::of(chunk), chunk, 0, sim);
+  out.close();
   failpoint::arm("store.load", Action::kThrow);
   EXPECT_THROW(store.load(loc.container, sim), FailpointError);
   EXPECT_NO_THROW(store.load(loc.container, sim));
@@ -145,26 +151,6 @@ TEST_F(FaultInjectionTest, IndexInsertFaultIsTypedAndRetryable) {
   EXPECT_THROW(index.insert(fp, value, sim), FailpointError);
   EXPECT_NO_THROW(index.insert(fp, value, sim));
   EXPECT_EQ(index.size(), 1u);
-}
-
-TEST_F(FaultInjectionTest, PersistFaultsAreTypedAndLeaveCodecUsable) {
-  const Bytes recipe_image = encode_recipe(Recipe("gen"));
-  const Bytes catalog_image = encode_catalog(GenerationCatalog{});
-
-  failpoint::arm("persist.encode_recipe", Action::kThrow);
-  EXPECT_THROW(encode_recipe(Recipe("gen")), FailpointError);
-  failpoint::arm("persist.decode_recipe", Action::kThrow);
-  EXPECT_THROW(decode_recipe(ByteView(recipe_image)), FailpointError);
-  failpoint::arm("persist.encode_catalog", Action::kThrow);
-  EXPECT_THROW(encode_catalog(GenerationCatalog{}), FailpointError);
-  failpoint::arm("persist.decode_catalog", Action::kThrow);
-  EXPECT_THROW(decode_catalog(ByteView(catalog_image)), FailpointError);
-
-  // One-shot armings are spent: the codecs round-trip again.
-  EXPECT_EQ(encode_recipe(decode_recipe(ByteView(recipe_image))),
-            recipe_image);
-  EXPECT_EQ(encode_catalog(decode_catalog(ByteView(catalog_image))),
-            catalog_image);
 }
 
 // ---- wire-layer injections (socketpair, no server, no races) ---------------

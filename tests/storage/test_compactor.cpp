@@ -46,7 +46,7 @@ RestoreResult strategy_restore(const ContainerStore& store,
 
 TEST(CompactorTest, RetainedGenerationsSurviveByteForByte) {
   Fixture fx;
-  Compactor compactor(fx.base().config().container_bytes);
+  Compactor compactor;
   ContainerStore fresh_store;
   RecipeStore fresh_recipes;
   DiskSim sim;
@@ -98,7 +98,7 @@ TEST(CompactorTest, CompactionRelinearizesNewestGeneration) {
   const RestoreResult before =
       strategy_restore(fx.base().container_store(), old_recipe, nullptr);
 
-  Compactor compactor(fx.base().config().container_bytes);
+  Compactor compactor;
   ContainerStore fresh_store;
   RecipeStore fresh_recipes;
   DiskSim sim;
@@ -145,6 +145,46 @@ TEST(CompactorTest, SharedChunksCopiedOnce) {
       base.container_store(), base.recipe_store(), {1, 2}, &fresh_store,
       &fresh_recipes, sim);
   EXPECT_EQ(r.live_bytes, stream.size());
+}
+
+TEST(CompactorTest, KeepsSourceCapacityAndCompression) {
+  auto cfg = testing::small_engine_config();
+  cfg.compress_containers = true;
+  DedupSystem sys(EngineKind::kDdfs, cfg);
+  workload::FsParams fs;
+  fs.initial_files = 12;
+  fs.mean_file_bytes = 64 * 1024;
+  fs.text_fraction = 0.7;
+  workload::SingleUserSeries series(9292, fs);
+  std::vector<Sha256::Digest> digests;
+  for (std::uint32_t g = 1; g <= 3; ++g) {
+    const auto b = series.next();
+    digests.push_back(Sha256::hash(b.stream));
+    sys.ingest_as(g, b.stream);
+  }
+  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+
+  Compactor compactor;
+  ContainerStore fresh_store;
+  RecipeStore fresh_recipes;
+  DiskSim sim;
+  compactor.compact(base.container_store(), base.recipe_store(), {2, 3},
+                    &fresh_store, &fresh_recipes, sim);
+
+  EXPECT_EQ(fresh_store.container_capacity(), 256u * 1024u);
+  EXPECT_TRUE(fresh_store.compress_on_seal());
+  ASSERT_GT(fresh_store.container_count(), 1u);
+  for (std::size_t id = 0; id < fresh_store.container_count(); ++id) {
+    const Container& c = fresh_store.peek(static_cast<ContainerId>(id));
+    EXPECT_TRUE(c.sealed());
+    EXPECT_LE(c.data_bytes(), 256u * 1024u);
+  }
+  EXPECT_LT(fresh_store.total_stored_bytes(), fresh_store.total_data_bytes());
+  for (std::uint32_t g : {2u, 3u}) {
+    Bytes out;
+    strategy_restore(fresh_store, fresh_recipes.get(g), &out);
+    EXPECT_EQ(Sha256::hash(out), digests[g - 1]) << "generation " << g;
+  }
 }
 
 TEST(CompactorTest, RejectsEmptyRetention) {

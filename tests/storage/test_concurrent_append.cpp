@@ -21,29 +21,6 @@ Bytes chunk_data(std::uint64_t stream, std::uint64_t i, std::size_t n) {
   return testing::random_bytes(n, stream * 100000 + i);
 }
 
-TEST(ConcurrentAppendTest, SerialPathDisabledInStreamMode) {
-  ContainerStore store(kSmallContainer);
-  DiskSim sim;
-  auto appender = store.open_stream();
-  const Bytes data = chunk_data(0, 0, 1024);
-  EXPECT_THROW(store.append(Fingerprint::of(data), data, kInvalidSegment, sim),
-               CheckFailure);
-  EXPECT_THROW(store.flush(), CheckFailure);
-  EXPECT_EQ(store.open_container(), kInvalidContainer);
-  appender.close();
-}
-
-TEST(ConcurrentAppendTest, OpenStreamSealsSerialTail) {
-  ContainerStore store(kSmallContainer);
-  DiskSim sim;
-  const Bytes data = chunk_data(0, 0, 1024);
-  store.append(Fingerprint::of(data), data, kInvalidSegment, sim);
-  ASSERT_NE(store.open_container(), kInvalidContainer);
-  auto appender = store.open_stream();
-  EXPECT_TRUE(store.peek(0).sealed());
-  appender.close();
-}
-
 TEST(ConcurrentAppendTest, AppenderWritesReadBackAndSealOnClose) {
   ContainerStore store(kSmallContainer);
   DiskSim sim;

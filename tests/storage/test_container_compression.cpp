@@ -18,9 +18,10 @@ Bytes text_bytes(std::size_t n, std::uint64_t seed) {
 TEST(ContainerCompressionTest, SealShrinksCompressibleContainer) {
   ContainerStore store(256 * 1024, /*compress_on_seal=*/true);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes text = text_bytes(200 * 1024, 400);
-  store.append(Fingerprint::of(text), text, 0, sim);
-  store.flush();
+  out.append(Fingerprint::of(text), text, 0, sim);
+  out.close();
 
   const Container& c = store.peek(0);
   EXPECT_TRUE(c.sealed());
@@ -32,9 +33,10 @@ TEST(ContainerCompressionTest, SealShrinksCompressibleContainer) {
 TEST(ContainerCompressionTest, IncompressibleContainerKeepsRawSize) {
   ContainerStore store(256 * 1024, /*compress_on_seal=*/true);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes noise = testing::random_bytes(200 * 1024, 401);
-  store.append(Fingerprint::of(noise), noise, 0, sim);
-  store.flush();
+  out.append(Fingerprint::of(noise), noise, 0, sim);
+  out.close();
 
   const Container& c = store.peek(0);
   EXPECT_EQ(c.stored_bytes(), c.data_bytes());
@@ -44,9 +46,10 @@ TEST(ContainerCompressionTest, IncompressibleContainerKeepsRawSize) {
 TEST(ContainerCompressionTest, LoadChargesCompressedTransfer) {
   ContainerStore store(256 * 1024, /*compress_on_seal=*/true);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes text = text_bytes(200 * 1024, 402);
-  const auto loc = store.append(Fingerprint::of(text), text, 0, sim);
-  store.flush();
+  const auto loc = out.append(Fingerprint::of(text), text, 0, sim);
+  out.close();
 
   DiskSim read_sim;
   const Container& c = store.load(loc.container, read_sim);
@@ -58,9 +61,10 @@ TEST(ContainerCompressionTest, LoadChargesCompressedTransfer) {
 TEST(ContainerCompressionTest, ReadsStillServeRawBytes) {
   ContainerStore store(256 * 1024, /*compress_on_seal=*/true);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes text = text_bytes(100 * 1024, 403);
-  const auto loc = store.append(Fingerprint::of(text), text, 0, sim);
-  store.flush();
+  const auto loc = out.append(Fingerprint::of(text), text, 0, sim);
+  out.close();
   const ByteView back = store.peek(loc.container).read(loc);
   EXPECT_TRUE(std::equal(back.begin(), back.end(), text.begin()));
 }

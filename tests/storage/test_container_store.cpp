@@ -11,11 +11,12 @@ namespace {
 TEST(ContainerStoreTest, RollsToNewContainerWhenFull) {
   ContainerStore store(128 * 1024);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(50 * 1024, 50);
   // Three 50 KiB chunks into 128 KiB containers: the third must roll over.
-  const auto l1 = store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  const auto l2 = store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  const auto l3 = store.append(Fingerprint::of(chunk), chunk, 0, sim);
+  const auto l1 = out.append(Fingerprint::of(chunk), chunk, 0, sim);
+  const auto l2 = out.append(Fingerprint::of(chunk), chunk, 0, sim);
+  const auto l3 = out.append(Fingerprint::of(chunk), chunk, 0, sim);
   EXPECT_EQ(l1.container, 0u);
   EXPECT_EQ(l2.container, 0u);
   EXPECT_EQ(l3.container, 1u);
@@ -27,8 +28,9 @@ TEST(ContainerStoreTest, RollsToNewContainerWhenFull) {
 TEST(ContainerStoreTest, AppendIsWriteBehind) {
   ContainerStore store;
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(4096, 51);
-  store.append(Fingerprint::of(chunk), chunk, 0, sim);
+  out.append(Fingerprint::of(chunk), chunk, 0, sim);
   EXPECT_DOUBLE_EQ(sim.elapsed_seconds(), 0.0);
   EXPECT_EQ(sim.stats().bytes_written, 4096 + kContainerEntryBytes);
 }
@@ -36,9 +38,10 @@ TEST(ContainerStoreTest, AppendIsWriteBehind) {
 TEST(ContainerStoreTest, LoadChargesSeekAndTransfer) {
   ContainerStore store;
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(4096, 52);
-  const auto loc = store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  store.flush();
+  const auto loc = out.append(Fingerprint::of(chunk), chunk, 0, sim);
+  out.close();
 
   DiskSim read_sim;
   const Container& c = store.load(loc.container, read_sim);
@@ -50,9 +53,10 @@ TEST(ContainerStoreTest, LoadChargesSeekAndTransfer) {
 TEST(ContainerStoreTest, LoadMetadataChargesOnlyMetadata) {
   ContainerStore store;
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(4096, 53);
-  const auto loc = store.append(Fingerprint::of(chunk), chunk, 7, sim);
-  store.flush();
+  const auto loc = out.append(Fingerprint::of(chunk), chunk, 7, sim);
+  out.close();
 
   DiskSim meta_sim;
   const auto& entries = store.load_metadata(loc.container, meta_sim);
@@ -66,20 +70,23 @@ TEST(ContainerStoreTest, TotalDataBytes) {
   ContainerStore store;
   DiskSim sim;
   std::uint64_t expected = 0;
+  auto out = store.open_stream();
   for (int i = 0; i < 10; ++i) {
     const Bytes chunk =
         testing::random_bytes(1000 + static_cast<std::size_t>(i), 54 + static_cast<std::uint64_t>(i));
-    store.append(Fingerprint::of(chunk), chunk, 0, sim);
+    out.append(Fingerprint::of(chunk), chunk, 0, sim);
     expected += chunk.size();
   }
+  out.close();
   EXPECT_EQ(store.total_data_bytes(), expected);
 }
 
 TEST(ContainerStoreTest, RejectsOversizedChunk) {
   ContainerStore store(64 * 1024);
   DiskSim sim;
+  auto out = store.open_stream();
   const Bytes chunk = testing::random_bytes(65 * 1024, 55);
-  EXPECT_THROW(store.append(Fingerprint::of(chunk), chunk, 0, sim),
+  EXPECT_THROW(out.append(Fingerprint::of(chunk), chunk, 0, sim),
                CheckFailure);
 }
 
@@ -90,13 +97,18 @@ TEST(ContainerStoreTest, PeekRejectsUnknownId) {
 
 TEST(ContainerStoreTest, OpenContainerTracking) {
   ContainerStore store;
-  EXPECT_EQ(store.open_container(), kInvalidContainer);
+  auto out = store.open_stream();
+  // Opening allocates nothing: the first append creates container 0.
+  EXPECT_EQ(store.container_count(), 0u);
   DiskSim sim;
   const Bytes chunk = testing::random_bytes(100, 56);
-  store.append(Fingerprint::of(chunk), chunk, 0, sim);
-  EXPECT_EQ(store.open_container(), 0u);
-  store.flush();
-  EXPECT_EQ(store.open_container(), kInvalidContainer);
+  EXPECT_EQ(out.append(Fingerprint::of(chunk), chunk, 0, sim).container, 0u);
+  EXPECT_EQ(store.container_count(), 1u);
+  EXPECT_FALSE(store.peek(0).sealed());
+  EXPECT_FALSE(store.sealed_visible(0));
+  out.close();
+  EXPECT_TRUE(store.peek(0).sealed());
+  EXPECT_TRUE(store.sealed_visible(0));
 }
 
 }  // namespace

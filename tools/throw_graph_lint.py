@@ -14,8 +14,8 @@ and enforces:
                       it only forwards an already-typed exception)
   cross-module-throw  a type may only be thrown from the modules its
                       declaration allows ("*" = anywhere): WireError
-                      stays in src/service, MetricsParseError in
-                      src/obs, and so on
+                      stays in src/service, InputError in src/common,
+                      and so on
   throwing-dtor       destructors and move constructors/assignments are
                       TRANSITIVELY throw-free: a conservative call-graph
                       fixpoint over every function in src/, where the
